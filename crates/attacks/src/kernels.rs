@@ -103,7 +103,7 @@ impl RequestStream for KernelStream {
 }
 
 /// A kernel is also a script for the batched security simulator
-/// ([`SecuritySim::run_batched`](moat_sim::SecuritySim::run_batched)):
+/// ([`SecuritySim::run_semi_scripted`](moat_sim::SecuritySim::run_semi_scripted)):
 /// the pattern's rows are handed out run-by-run. The security simulator
 /// models a single bank, so the pattern's bank ids are ignored here — a
 /// multi-bank kernel collapses onto the one bank under attack.
@@ -244,13 +244,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_scripts_run_batched_like_per_step() {
+    fn kernel_scripts_batch_like_per_step() {
         // A kernel driven through the batched security fast path is
         // bit-identical to the same kernel stepped per-slot through the
         // adaptive reference — the multi-row Fig. 13(b) shape, which
         // exercises REF straddles, ALERT episodes, and script exhaustion.
         use moat_dram::Nanos;
-        use moat_sim::{Scripted, SecurityConfig, SecuritySim};
+        use moat_sim::{SecurityConfig, SecuritySim, SemiStepped};
         let mk = || {
             SecuritySim::new(
                 SecurityConfig::paper_default(),
@@ -259,8 +259,8 @@ mod tests {
         };
         let rows = [30_000u32, 30_006, 30_012];
         let script = || multi_row_stream(4_000, 0, &rows);
-        let expect = mk().run(&mut Scripted::new(script()), Nanos::from_millis(2));
-        let got = mk().run_batched(&mut script(), Nanos::from_millis(2));
+        let expect = mk().run(&mut SemiStepped::new(script()), Nanos::from_millis(2));
+        let got = mk().run_semi_scripted(&mut script(), Nanos::from_millis(2));
         assert_eq!(got, expect);
         assert!(expect.alerts > 0, "must exercise episodes");
     }

@@ -5,8 +5,8 @@
 //! these proptests pin `SecuritySim::run_semi_scripted` over the
 //! semi-scripted forms against `SecuritySim::run` over the per-step
 //! forms across randomized attack parameters, defense shapes, and ABO
-//! levels — in the style of the `batched_matches_per_step` suite of the
-//! scripted batched path.
+//! levels — in the style of the `batched_matches_per_step` suite that
+//! pins scripted attackers on the same loop.
 
 use moat_attacks::{FeintingAttacker, JailbreakAttacker, PostponementAttacker, RatchetAttacker};
 use moat_core::{MoatConfig, MoatEngine};

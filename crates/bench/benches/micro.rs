@@ -26,7 +26,7 @@ use moat_dram::{
     SecurityLedger,
 };
 use moat_sim::{
-    hammer_attacker, PerfConfig, PerfSim, RequestStream, Scripted, SecurityConfig, SecuritySim,
+    hammer_attacker, PerfConfig, PerfSim, RequestStream, SecurityConfig, SecuritySim, SemiStepped,
 };
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
 use moat_workloads::{GeneratorConfig, WorkloadProfile, WorkloadStream};
@@ -270,7 +270,7 @@ fn bench_security_step(c: &mut Criterion) {
                 SecurityConfig::paper_default(),
                 MoatEngine::new(MoatConfig::paper_default()),
             );
-            sim.run(&mut Scripted::new(hammer_attacker(30_000)), DURATION)
+            sim.run(&mut SemiStepped::new(hammer_attacker(30_000)), DURATION)
         });
     });
     g.bench_function("batched_hammer_1ms", |b| {
@@ -279,7 +279,7 @@ fn bench_security_step(c: &mut Criterion) {
                 SecurityConfig::paper_default(),
                 MoatEngine::new(MoatConfig::paper_default()),
             );
-            sim.run_batched(&mut hammer_attacker(30_000), DURATION)
+            sim.run_semi_scripted(&mut hammer_attacker(30_000), DURATION)
         });
     });
 

@@ -153,8 +153,8 @@ fn security_report(cell: &ArenaCell) -> SecurityReport {
     let config = SecurityConfig::paper_default();
     let mut sim = SecuritySim::new(config, (cell.variant.build)());
     match cell.attack {
-        "hammer" => sim.run_batched(&mut hammer_attacker(5), CELL_DURATION),
-        "round-robin" => sim.run_batched(
+        "hammer" => sim.run_semi_scripted(&mut hammer_attacker(5), CELL_DURATION),
+        "round-robin" => sim.run_semi_scripted(
             &mut round_robin_attacker((0..16).map(|i| i * 2).collect()),
             CELL_DURATION,
         ),

@@ -19,7 +19,7 @@
 
 use moat_dram::{MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan, FaultStats};
-use moat_sim::{hammer_attacker, round_robin_attacker, SecurityConfig, SecuritySim};
+use moat_sim::{hammer_attacker, round_robin_attacker, Hooks, SecurityConfig, SecuritySim};
 use moat_trackers::registry;
 
 use moat_telemetry::{MetricsRegistry, TelemetryLevel};
@@ -79,21 +79,20 @@ fn boxed_engine(name: &str) -> Box<dyn MitigationEngine> {
 /// stats, and the activation count for the sweep statistics.
 fn run_cell(cell: FaultCell) -> ((u32, u64, FaultStats), u64) {
     let config = SecurityConfig::paper_default();
-    let mut injector = FaultInjector::new(cell.plan, config.dram.rows_per_bank);
+    let mut hooks =
+        Hooks::default().with_faults(FaultInjector::new(cell.plan, config.dram.rows_per_bank));
     let mut sim = SecuritySim::new(config, boxed_engine(cell.engine));
     let report = match cell.attack {
-        "hammer" => {
-            sim.run_batched_with_faults(&mut hammer_attacker(5), CELL_DURATION, &mut injector)
-        }
-        "round-robin" => sim.run_batched_with_faults(
+        "hammer" => sim.run_semi_scripted_with(&mut hammer_attacker(5), CELL_DURATION, &mut hooks),
+        "round-robin" => sim.run_semi_scripted_with(
             &mut round_robin_attacker((0..16).map(|i| i * 2).collect()),
             CELL_DURATION,
-            &mut injector,
+            &mut hooks,
         ),
         other => unreachable!("unknown attack {other}"),
     };
     (
-        (report.max_pressure, report.total_acts, injector.stats()),
+        (report.max_pressure, report.total_acts, hooks.faults.stats()),
         report.total_acts,
     )
 }

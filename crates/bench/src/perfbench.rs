@@ -10,8 +10,8 @@ use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::{AboLevel, BankId, DramConfig, MitigationEngine, Nanos, RowId};
 use moat_fleet::{FleetConfig, FleetSupervisor, FleetTopology};
 use moat_sim::{
-    hammer_attacker, Attacker, NoFaults, NoGuard, PerfConfig, PerfSim, Request, RequestStream,
-    Scripted, SecurityConfig, SecuritySim, SemiScriptedAttacker, SlotBudget, DEFAULT_CHUNK,
+    hammer_attacker, Attacker, Hooks, PerfConfig, PerfSim, Request, RequestStream, SecurityConfig,
+    SecuritySim, SemiScriptedAttacker, SemiStepped, SlotBudget, DEFAULT_CHUNK,
 };
 use moat_telemetry::{PhaseProfile, SimPhase, TelemetryLevel, Tracer};
 use moat_trace::{Fingerprint, TraceCache, TraceKey};
@@ -62,9 +62,10 @@ impl HotPathResult {
 #[derive(Debug, Clone, Copy)]
 pub struct SecurityPathResult {
     /// Simulated ACTs per host second through the per-step reference
-    /// (`SecuritySim::run` over the `Scripted` adapter).
+    /// (`SecuritySim::run` over the `SemiStepped` adapter).
     pub step_acts_per_sec: f64,
-    /// Simulated ACTs per host second through `SecuritySim::run_batched`.
+    /// Simulated ACTs per host second through the batched loop
+    /// (`SecuritySim::run_semi_scripted` over the same script).
     pub batched_acts_per_sec: f64,
     /// Attacker activations simulated per run.
     pub acts: u64,
@@ -915,8 +916,8 @@ where
 }
 
 /// Measures the security simulator on the single-row hammer attack:
-/// the per-step reference (`run` over the `Scripted` adapter) against
-/// the event-horizon batched path (`run_batched`), asserting along the
+/// the per-step reference (`run` over the `SemiStepped` adapter) against
+/// the event-horizon batched path (`run_semi_scripted`), asserting along the
 /// way that both produce bit-identical reports.
 fn measure_security(duration: Nanos) -> SecurityPathResult {
     let mk = || {
@@ -927,18 +928,18 @@ fn measure_security(duration: Nanos) -> SecurityPathResult {
     };
     let run_step = || {
         let start = Instant::now();
-        let report = mk().run(&mut Scripted::new(hammer_attacker(30_000)), duration);
+        let report = mk().run(&mut SemiStepped::new(hammer_attacker(30_000)), duration);
         (report, start.elapsed().as_secs_f64())
     };
-    let run_batched = || {
+    let run_semi = || {
         let start = Instant::now();
-        let report = mk().run_batched(&mut hammer_attacker(30_000), duration);
+        let report = mk().run_semi_scripted(&mut hammer_attacker(30_000), duration);
         (report, start.elapsed().as_secs_f64())
     };
 
     // Warm-up + equivalence check, then best-of-3 interleaved.
     let (step_report, _) = run_step();
-    let (batched_report, _) = run_batched();
+    let (batched_report, _) = run_semi();
     assert_eq!(
         step_report, batched_report,
         "event-horizon batching changed the security report"
@@ -949,7 +950,7 @@ fn measure_security(duration: Nanos) -> SecurityPathResult {
     let mut batched_secs = f64::INFINITY;
     for _ in 0..3 {
         let (_, s) = run_step();
-        let (_, b) = run_batched();
+        let (_, b) = run_semi();
         step_secs = step_secs.min(s);
         batched_secs = batched_secs.min(b);
     }
@@ -1208,15 +1209,9 @@ pub fn measure_profiles() -> Vec<CellPhaseProfile> {
         let mut sim = SecuritySim::new(cfg, Box::new(IdealSramTracker::new(65_536)));
         let mut attacker = FeintingAttacker::new(periods as usize, 40_000);
         let duration = Nanos::new(u64::from(periods) * u64::from(k) * 3_900 + 1_000_000);
-        let mut tracer = Tracer::new(TelemetryLevel::Spans);
-        sim.run_semi_scripted_traced(
-            &mut attacker,
-            duration,
-            &mut NoFaults,
-            &mut NoGuard,
-            &mut tracer,
-        );
-        *tracer.profile()
+        let mut hooks = Hooks::default().with_tel(Tracer::new(TelemetryLevel::Spans));
+        sim.run_semi_scripted_with(&mut attacker, duration, &mut hooks);
+        *hooks.tel.profile()
     };
 
     // Ratchet (Fig. 15 shape): 64 aggressors ratcheting over a 256-row
@@ -1227,15 +1222,9 @@ pub fn measure_profiles() -> Vec<CellPhaseProfile> {
             Box::new(MoatEngine::new(MoatConfig::paper_default())),
         );
         let mut attacker = RatchetAttacker::new(64, 256);
-        let mut tracer = Tracer::new(TelemetryLevel::Spans);
-        sim.run_semi_scripted_traced(
-            &mut attacker,
-            Nanos::from_millis(8),
-            &mut NoFaults,
-            &mut NoGuard,
-            &mut tracer,
-        );
-        *tracer.profile()
+        let mut hooks = Hooks::default().with_tel(Tracer::new(TelemetryLevel::Spans));
+        sim.run_semi_scripted_with(&mut attacker, Nanos::from_millis(8), &mut hooks);
+        *hooks.tel.profile()
     };
 
     vec![
@@ -1414,12 +1403,11 @@ mod tests {
         assert!(json.contains("\"fleet_shards\": 16"));
         assert!(json.contains("\"arena_acts_per_sec\": 18000000"));
         assert!(json.contains("\"arena_cells\": 20"));
-        // Per-phase profile fields: 2 cells x 6 phases, simulated ns.
+        // Per-phase profile fields: 2 cells x 4 phases, simulated ns.
         assert!(json.contains("\"profile_feinting_engine_update_ns\": 6000"));
         assert!(json.contains("\"profile_feinting_refresh_ns\": 3000"));
         assert!(json.contains("\"profile_ratchet_episode_churn_ns\": 5000"));
-        assert!(json.contains("\"profile_ratchet_stream_decode_ns\": 0"));
-        assert_eq!(json.matches(':').count(), 39);
+        assert_eq!(json.matches(':').count(), 35);
         assert!(report.summary().contains("Simulator performance"));
         assert!(report.summary().contains("Where simulated time goes"));
         assert!(report.summary().contains("phase profile feinting"));

@@ -19,7 +19,10 @@
 use moat_dram::{MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan, FaultStats};
 use moat_guard::{EngineGuard, RecoveryPlan, RecoveryStats};
-use moat_sim::{hammer_attacker, round_robin_attacker, SecurityConfig, SecuritySim};
+use moat_sim::{
+    hammer_attacker, round_robin_attacker, GuardHook, Hooks, SecurityConfig, SecurityReport,
+    SecuritySim,
+};
 use moat_trackers::registry;
 
 use moat_fleet::Incident;
@@ -91,46 +94,40 @@ fn boxed_engine(name: &str) -> Box<dyn MitigationEngine> {
 /// boundaries. Returns the fault stats plus the recovery telemetry.
 fn run_cell(cell: RecoverCell) -> ((u64, FaultStats, Option<RecoveryStats>), u64) {
     let config = SecurityConfig::paper_default();
-    let mut injector = FaultInjector::new(cell.plan, config.dram.rows_per_bank);
+    let injector = FaultInjector::new(cell.plan, config.dram.rows_per_bank);
     let mut sim = SecuritySim::new(config, boxed_engine(cell.engine));
-    let rr = || round_robin_attacker((0..16).map(|i| i * 2).collect());
-    let (report, recovery) = match cell.recovery {
+    let (report, faults, recovery) = match cell.recovery {
         None => {
-            let report = match cell.attack {
-                "hammer" => sim.run_batched_with_faults(
-                    &mut hammer_attacker(5),
-                    CELL_DURATION,
-                    &mut injector,
-                ),
-                "round-robin" => {
-                    sim.run_batched_with_faults(&mut rr(), CELL_DURATION, &mut injector)
-                }
-                other => unreachable!("unknown attack {other}"),
-            };
-            (report, None)
+            let mut hooks = Hooks::default().with_faults(injector);
+            let report = run_attack(&mut sim, cell.attack, &mut hooks);
+            (report, hooks.faults.stats(), None)
         }
         Some(plan) => {
-            let mut guard = EngineGuard::new(plan);
+            let guard = EngineGuard::new(plan);
             guard.arm(sim.unit_mut());
-            let report = match cell.attack {
-                "hammer" => sim.run_batched_guarded(
-                    &mut hammer_attacker(5),
-                    CELL_DURATION,
-                    &mut injector,
-                    &mut guard,
-                ),
-                "round-robin" => {
-                    sim.run_batched_guarded(&mut rr(), CELL_DURATION, &mut injector, &mut guard)
-                }
-                other => unreachable!("unknown attack {other}"),
-            };
-            (report, Some(guard.stats()))
+            let mut hooks = Hooks::default().with_faults(injector).with_guard(guard);
+            let report = run_attack(&mut sim, cell.attack, &mut hooks);
+            (report, hooks.faults.stats(), Some(hooks.guard.stats()))
         }
     };
-    (
-        (report.total_acts, injector.stats(), recovery),
-        report.total_acts,
-    )
+    ((report.total_acts, faults, recovery), report.total_acts)
+}
+
+/// Runs the cell's batched attack with `hooks` armed.
+fn run_attack<G: GuardHook>(
+    sim: &mut SecuritySim,
+    attack: &str,
+    hooks: &mut Hooks<FaultInjector, G>,
+) -> SecurityReport {
+    match attack {
+        "hammer" => sim.run_semi_scripted_with(&mut hammer_attacker(5), CELL_DURATION, hooks),
+        "round-robin" => sim.run_semi_scripted_with(
+            &mut round_robin_attacker((0..16).map(|i| i * 2).collect()),
+            CELL_DURATION,
+            hooks,
+        ),
+        other => unreachable!("unknown attack {other}"),
+    }
 }
 
 /// Renders the recovery table. Bit-identical across runs with equal

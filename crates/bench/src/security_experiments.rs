@@ -242,7 +242,7 @@ pub fn moat_bound_check() -> String {
         SecurityConfig::paper_default(),
         Box::new(MoatEngine::new(MoatConfig::paper_default())),
     );
-    let r = sim.run_batched(&mut hammer_attacker(30_000), Nanos::from_millis(4));
+    let r = sim.run_semi_scripted(&mut hammer_attacker(30_000), Nanos::from_millis(4));
     format!(
         "MOAT check: single-row hammer max ACT = {} (<= 99 tolerated), alerts = {}\n",
         r.max_pressure, r.alerts

@@ -27,7 +27,7 @@ fn stream(profile: &WorkloadProfile) -> WorkloadStream {
     WorkloadStream::new(profile, &DramConfig::paper_baseline(), gen)
 }
 
-fn run_batched(profile: &WorkloadProfile, level: AboLevel, chunk: usize) -> PerfReport {
+fn run_chunked(profile: &WorkloadProfile, level: AboLevel, chunk: usize) -> PerfReport {
     let mut sim = PerfSim::new(config(level), || {
         MoatEngine::new(MoatConfig::paper_default())
     });
@@ -56,7 +56,7 @@ fn batched_reports_match_per_request_reports() {
             let expect = run_reference(profile, level);
             assert!(expect.total_acts > 10_000, "{name}: stream too small");
             for chunk in [1usize, 33, 1024] {
-                let got = run_batched(profile, level, chunk);
+                let got = run_chunked(profile, level, chunk);
                 assert_eq!(
                     got, expect,
                     "{name} at level {level:?} with chunk {chunk} diverged"

@@ -6,8 +6,8 @@
 //!   bit-identical `PerfReport`s (and `SecurityReport`s untouched by
 //!   the armed failpoints).
 //! * An armed [`FaultInjector`] carrying an all-zero [`FaultPlan`]
-//!   leaves the per-step, batched, and semi-scripted security loops
-//!   bit-identical to the disarmed build across random kernels ×
+//!   leaves the per-step and batched security loops (scripted and
+//!   semi-scripted attackers) bit-identical to the disarmed build across random kernels ×
 //!   engines — the fault hooks are true no-ops at rate 0.
 //!
 //! The failpoint state is process-global, so every test that arms it
@@ -19,7 +19,7 @@ use moat_bench::{PerfLab, Scale};
 use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::{MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan};
-use moat_sim::{round_robin_attacker, Scripted, SecurityConfig, SecuritySim, SlotBudget};
+use moat_sim::{round_robin_attacker, Hooks, SecurityConfig, SecuritySim, SemiStepped, SlotBudget};
 use moat_trace::failpoint::{self, IoFaultConfig};
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
 use moat_workloads::WorkloadProfile;
@@ -133,7 +133,7 @@ fn armed_io_faults_leave_security_reports_untouched() {
             SecurityConfig::paper_default(),
             Box::new(MoatEngine::new(MoatConfig::paper_default())) as Box<dyn MitigationEngine>,
         );
-        sim.run_batched(&mut round_robin_attacker((0..8).collect()), duration)
+        sim.run_semi_scripted(&mut round_robin_attacker((0..8).collect()), duration)
     };
     let clean = run();
     failpoint::arm(IoFaultConfig {
@@ -161,7 +161,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Satellite invariant: arming an *empty* fault plan is a true
-    /// no-op. All three execution modes stay bit-identical to their
+    /// no-op. Both execution modes stay bit-identical to their
     /// disarmed forms across random kernels × engines, and the injector
     /// confirms nothing was injected.
     #[test]
@@ -178,16 +178,16 @@ proptest! {
 
         // Batched scripted mode.
         let mut clean = SecuritySim::new(config, boxed_engine(engine_idx));
-        let r_clean = clean.run_batched(&mut round_robin_attacker(rows.clone()), duration);
+        let r_clean = clean.run_semi_scripted(&mut round_robin_attacker(rows.clone()), duration);
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut injector = FaultInjector::new(plan, rows_per_bank());
-        let r_armed = armed.run_batched_with_faults(
+        let mut hooks = Hooks::default().with_faults(FaultInjector::new(plan, rows_per_bank()));
+        let r_armed = armed.run_semi_scripted_with(
             &mut round_robin_attacker(rows.clone()),
             duration,
-            &mut injector,
+            &mut hooks,
         );
         prop_assert_eq!(r_clean, r_armed, "batched mode diverged");
-        let stats = injector.stats();
+        let stats = hooks.faults.stats();
         prop_assert_eq!(stats.seu_flips, 0);
         prop_assert_eq!(stats.dropped_rfms, 0);
         prop_assert_eq!(stats.lost_alerts, 0);
@@ -196,15 +196,14 @@ proptest! {
         // Per-step mode.
         let mut clean = SecuritySim::new(config, boxed_engine(engine_idx));
         let r_clean = clean.run(
-            &mut Scripted::new(round_robin_attacker(rows.clone())),
+            &mut SemiStepped::new(round_robin_attacker(rows.clone())),
             duration,
         );
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut injector = FaultInjector::new(plan, rows_per_bank());
-        let r_armed = armed.run_with_faults(
-            &mut Scripted::new(round_robin_attacker(rows.clone())),
+        let r_armed = armed.run_with(
+            &mut SemiStepped::new(round_robin_attacker(rows.clone())),
             duration,
-            &mut injector,
+            &mut Hooks::default().with_faults(FaultInjector::new(plan, rows_per_bank())),
         );
         prop_assert_eq!(r_clean, r_armed, "per-step mode diverged");
 
@@ -216,11 +215,10 @@ proptest! {
             duration,
         );
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut injector = FaultInjector::new(plan, rows_per_bank());
-        let r_armed = armed.run_semi_scripted_with_faults(
+        let r_armed = armed.run_semi_scripted_with(
             &mut moat_attacks::FeintingAttacker::new(4, rows[0]),
             duration,
-            &mut injector,
+            &mut Hooks::default().with_faults(FaultInjector::new(plan, rows_per_bank())),
         );
         prop_assert_eq!(r_clean, r_armed, "semi-scripted mode diverged");
     }

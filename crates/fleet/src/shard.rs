@@ -21,7 +21,8 @@ use moat_dram::{BankId, MitigationEngine};
 use moat_faults::FaultInjector;
 use moat_guard::EngineGuard;
 use moat_sim::{
-    hammer_attacker, PerfConfig, PerfSim, Request, RequestStream, SecurityConfig, SecuritySim,
+    hammer_attacker, Hooks, PerfConfig, PerfSim, Request, RequestStream, SecurityConfig,
+    SecuritySim,
 };
 use moat_trackers::registry;
 use moat_workloads::{GeneratorConfig, WorkloadStream, PROFILES};
@@ -323,34 +324,27 @@ where
     // Security: a hammer adversary on this rank under the shard's
     // derived engine-level fault plan, with the counter-integrity guard
     // armed when the config carries a recovery policy.
-    let mut injector = FaultInjector::new(
+    let injector = FaultInjector::new(
         config.faults.engine_plan(shard.index),
         SecurityConfig::paper_default().dram.rows_per_bank,
     );
     let mut security_sim = SecuritySim::new(SecurityConfig::paper_default(), engine());
     let mut attacker = hammer_attacker(5 + shard.index % 32);
-    let (security, recovery) = match config.recovery {
-        None => (
-            security_sim.run_batched_with_faults(
-                &mut attacker,
-                config.security_window,
-                &mut injector,
-            ),
-            None,
-        ),
+    let window = config.security_window;
+    let (security, fault_stats, recovery) = match config.recovery {
+        None => {
+            let mut hooks = Hooks::default().with_faults(injector);
+            let report = security_sim.run_semi_scripted_with(&mut attacker, window, &mut hooks);
+            (report, hooks.faults.stats(), None)
+        }
         Some(plan) => {
-            let mut guard = EngineGuard::new(plan);
+            let guard = EngineGuard::new(plan);
             guard.arm(security_sim.unit_mut());
-            let report = security_sim.run_batched_guarded(
-                &mut attacker,
-                config.security_window,
-                &mut injector,
-                &mut guard,
-            );
-            (report, Some(guard.stats()))
+            let mut hooks = Hooks::default().with_faults(injector).with_guard(guard);
+            let report = security_sim.run_semi_scripted_with(&mut attacker, window, &mut hooks);
+            (report, hooks.faults.stats(), Some(hooks.guard.stats()))
         }
     };
-    let fault_stats = injector.stats();
 
     ShardReport {
         shard_index: shard.index,

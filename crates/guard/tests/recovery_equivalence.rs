@@ -1,7 +1,7 @@
 //! Recovery equivalence pins (PR 8 satellite):
 //!
-//! 1. A **disarmed** guard ([`NoGuard`]) is bit-identical to the
-//!    unguarded fault entry points across per-step / batched /
+//! 1. A **disarmed** guard ([`NoGuard`]) is bit-identical to a
+//!    fault-only [`Hooks`] bundle across per-step / batched scripted /
 //!    semi-scripted × both engines — the guard hook constant-folds.
 //! 2. An **armed detect-only** guard (no scrub, no fallback) is
 //!    invisible on a clean run: only the engine's shadow state changes,
@@ -20,7 +20,8 @@ use moat_dram::{MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan};
 use moat_guard::{EngineGuard, RecoveryPlan};
 use moat_sim::{
-    hammer_attacker, round_robin_attacker, NoFaults, NoGuard, Scripted, SecurityConfig, SecuritySim,
+    hammer_attacker, round_robin_attacker, Hooks, NoGuard, NoTelemetry, SecurityConfig,
+    SecuritySim, SemiStepped,
 };
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
 use proptest::prelude::*;
@@ -43,8 +44,9 @@ const TOLERATED: u32 = 99;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pin 1: `run_*_with_faults` and `run_*_guarded(.., NoGuard)` are
-    /// the same computation, even with a live fault stream.
+    /// Pin 1: a fault-only bundle and a bundle spelling out the disarmed
+    /// guard are the same computation, even with a live fault stream
+    /// (which also replays bit-identically from its seed).
     #[test]
     fn disarmed_guard_is_bit_identical_to_unguarded(
         seed in 0u64..u64::MAX,
@@ -57,60 +59,69 @@ proptest! {
 
         // Batched scripted mode.
         let mut a = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut inj_a = FaultInjector::new(plan, rows_per_bank());
-        let r_a = a.run_batched_with_faults(
+        let mut hooks_a = Hooks::default().with_faults(FaultInjector::new(plan, rows_per_bank()));
+        let r_a = a.run_semi_scripted_with(
             &mut round_robin_attacker(rows.clone()),
             duration,
-            &mut inj_a,
+            &mut hooks_a,
         );
         let mut b = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut inj_b = FaultInjector::new(plan, rows_per_bank());
-        let r_b = b.run_batched_guarded(
+        let mut hooks_b = Hooks {
+            faults: FaultInjector::new(plan, rows_per_bank()),
+            guard: NoGuard,
+            tel: NoTelemetry,
+        };
+        let r_b = b.run_semi_scripted_with(
             &mut round_robin_attacker(rows.clone()),
             duration,
-            &mut inj_b,
-            &mut NoGuard,
+            &mut hooks_b,
         );
         prop_assert_eq!(r_a, r_b, "batched mode diverged");
-        prop_assert_eq!(inj_a.stats(), inj_b.stats());
+        prop_assert_eq!(hooks_a.faults.stats(), hooks_b.faults.stats());
 
         // Per-step mode.
         let mut a = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut inj_a = FaultInjector::new(plan, rows_per_bank());
-        let r_a = a.run_with_faults(
-            &mut Scripted::new(round_robin_attacker(rows.clone())),
+        let mut hooks_a = Hooks::default().with_faults(FaultInjector::new(plan, rows_per_bank()));
+        let r_a = a.run_with(
+            &mut SemiStepped::new(round_robin_attacker(rows.clone())),
             duration,
-            &mut inj_a,
+            &mut hooks_a,
         );
         let mut b = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut inj_b = FaultInjector::new(plan, rows_per_bank());
-        let r_b = b.run_guarded(
-            &mut Scripted::new(round_robin_attacker(rows.clone())),
+        let mut hooks_b = Hooks {
+            faults: FaultInjector::new(plan, rows_per_bank()),
+            guard: NoGuard,
+            tel: NoTelemetry,
+        };
+        let r_b = b.run_with(
+            &mut SemiStepped::new(round_robin_attacker(rows.clone())),
             duration,
-            &mut inj_b,
-            &mut NoGuard,
+            &mut hooks_b,
         );
         prop_assert_eq!(r_a, r_b, "per-step mode diverged");
-        prop_assert_eq!(inj_a.stats(), inj_b.stats());
+        prop_assert_eq!(hooks_a.faults.stats(), hooks_b.faults.stats());
 
         // Semi-scripted mode.
         let mut a = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut inj_a = FaultInjector::new(plan, rows_per_bank());
-        let r_a = a.run_semi_scripted_with_faults(
+        let mut hooks_a = Hooks::default().with_faults(FaultInjector::new(plan, rows_per_bank()));
+        let r_a = a.run_semi_scripted_with(
             &mut FeintingAttacker::new(4, rows[0]),
             duration,
-            &mut inj_a,
+            &mut hooks_a,
         );
         let mut b = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut inj_b = FaultInjector::new(plan, rows_per_bank());
-        let r_b = b.run_semi_scripted_guarded(
+        let mut hooks_b = Hooks {
+            faults: FaultInjector::new(plan, rows_per_bank()),
+            guard: NoGuard,
+            tel: NoTelemetry,
+        };
+        let r_b = b.run_semi_scripted_with(
             &mut FeintingAttacker::new(4, rows[0]),
             duration,
-            &mut inj_b,
-            &mut NoGuard,
+            &mut hooks_b,
         );
         prop_assert_eq!(r_a, r_b, "semi-scripted mode diverged");
-        prop_assert_eq!(inj_a.stats(), inj_b.stats());
+        prop_assert_eq!(hooks_a.faults.stats(), hooks_b.faults.stats());
     }
 
     /// Pin 2: an armed detect-only guard observes a clean run without
@@ -126,49 +137,49 @@ proptest! {
 
         // Batched scripted mode.
         let mut clean = SecuritySim::new(config, boxed_engine(engine_idx));
-        let r_clean = clean.run_batched(&mut round_robin_attacker(rows.clone()), duration);
+        let r_clean = clean.run_semi_scripted(&mut round_robin_attacker(rows.clone()), duration);
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut guard = EngineGuard::new(RecoveryPlan::detect_only());
+        let guard = EngineGuard::new(RecoveryPlan::detect_only());
         prop_assert!(guard.arm(armed.unit_mut()));
-        let r_armed = armed.run_batched_guarded(
+        let mut hooks = Hooks::default().with_guard(guard);
+        let r_armed = armed.run_semi_scripted_with(
             &mut round_robin_attacker(rows.clone()),
             duration,
-            &mut NoFaults,
-            &mut guard,
+            &mut hooks,
         );
         prop_assert_eq!(r_clean, r_armed, "batched mode diverged");
-        prop_assert_eq!(guard.stats().detections, 0);
-        prop_assert!(guard.stats().checks > 0, "the guard must have run");
+        prop_assert_eq!(hooks.guard.stats().detections, 0);
+        prop_assert!(hooks.guard.stats().checks > 0, "the guard must have run");
 
         // Per-step mode.
         let mut clean = SecuritySim::new(config, boxed_engine(engine_idx));
-        let r_clean = clean.run(&mut Scripted::new(round_robin_attacker(rows.clone())), duration);
+        let r_clean = clean.run(&mut SemiStepped::new(round_robin_attacker(rows.clone())), duration);
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut guard = EngineGuard::new(RecoveryPlan::detect_only());
+        let guard = EngineGuard::new(RecoveryPlan::detect_only());
         prop_assert!(guard.arm(armed.unit_mut()));
-        let r_armed = armed.run_guarded(
-            &mut Scripted::new(round_robin_attacker(rows.clone())),
+        let mut hooks = Hooks::default().with_guard(guard);
+        let r_armed = armed.run_with(
+            &mut SemiStepped::new(round_robin_attacker(rows.clone())),
             duration,
-            &mut NoFaults,
-            &mut guard,
+            &mut hooks,
         );
         prop_assert_eq!(r_clean, r_armed, "per-step mode diverged");
-        prop_assert_eq!(guard.stats().detections, 0);
+        prop_assert_eq!(hooks.guard.stats().detections, 0);
 
         // Semi-scripted mode.
         let mut clean = SecuritySim::new(config, boxed_engine(engine_idx));
         let r_clean = clean.run_semi_scripted(&mut FeintingAttacker::new(4, rows[0]), duration);
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
-        let mut guard = EngineGuard::new(RecoveryPlan::detect_only());
+        let guard = EngineGuard::new(RecoveryPlan::detect_only());
         prop_assert!(guard.arm(armed.unit_mut()));
-        let r_armed = armed.run_semi_scripted_guarded(
+        let mut hooks = Hooks::default().with_guard(guard);
+        let r_armed = armed.run_semi_scripted_with(
             &mut FeintingAttacker::new(4, rows[0]),
             duration,
-            &mut NoFaults,
-            &mut guard,
+            &mut hooks,
         );
         prop_assert_eq!(r_clean, r_armed, "semi-scripted mode diverged");
-        prop_assert_eq!(guard.stats().detections, 0);
+        prop_assert_eq!(hooks.guard.stats().detections, 0);
     }
 
     /// Pin 3: under a transient SEU burst, fully guarded MOAT converges
@@ -191,27 +202,30 @@ proptest! {
         };
 
         let mut clean = SecuritySim::new(config, moat());
-        let r_clean = clean.run_batched(&mut hammer_attacker(5), duration);
+        let r_clean = clean.run_semi_scripted(&mut hammer_attacker(5), duration);
 
         let mut unguarded = SecuritySim::new(config, moat());
-        let mut inj_u = FaultInjector::new(plan, rows_per_bank());
-        let _ = unguarded.run_batched_with_faults(&mut hammer_attacker(5), duration, &mut inj_u);
+        let mut unguarded_hooks =
+            Hooks::default().with_faults(FaultInjector::new(plan, rows_per_bank()));
+        let _ = unguarded.run_semi_scripted_with(&mut hammer_attacker(5), duration, &mut unguarded_hooks);
 
         let mut guarded = SecuritySim::new(config, moat());
-        let mut inj_g = FaultInjector::new(plan, rows_per_bank());
-        let mut guard = EngineGuard::new(RecoveryPlan {
+        let guard = EngineGuard::new(RecoveryPlan {
             scrub_interval_ns: scrub,
             fallback: true,
         });
         prop_assert!(guard.arm(guarded.unit_mut()));
-        let r_guarded =
-            guarded.run_batched_guarded(&mut hammer_attacker(5), duration, &mut inj_g, &mut guard);
+        let mut hooks = Hooks::default()
+            .with_faults(FaultInjector::new(plan, rows_per_bank()))
+            .with_guard(guard);
+        let r_guarded = guarded.run_semi_scripted_with(&mut hammer_attacker(5), duration, &mut hooks);
 
-        let g = inj_g.stats();
+        let g = hooks.faults.stats();
+        let guard = hooks.guard;
         prop_assert_eq!(g.unsound_horizons, 0, "guard must close every horizon");
         prop_assert_eq!(g.escaped_acts, 0);
         prop_assert!(
-            g.unsound_horizons <= inj_u.stats().unsound_horizons,
+            g.unsound_horizons <= unguarded_hooks.faults.stats().unsound_horizons,
             "recovery can only improve on the unguarded stream"
         );
         prop_assert_eq!(

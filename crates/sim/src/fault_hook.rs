@@ -1,5 +1,5 @@
-//! The fault-injection hook the security simulator threads through its
-//! three execution modes.
+//! The fault-injection hook, the first member of the simulator's
+//! [`Hooks`](crate::Hooks) bundle.
 //!
 //! Real in-DRAM trackers are SRAM subject to single-event upsets, and the
 //! ALERT/RFM signalling can glitch; the [`FaultHook`] trait lets a plan
@@ -13,9 +13,9 @@
 //! associated `const`, and every injection site in the simulator is
 //! guarded by `if F::ARMED`. Monomorphized with the default [`NoFaults`]
 //! hook (`ARMED = false`), all fault branches constant-fold away and the
-//! batched hot paths compile to exactly the fault-free code — the public
-//! `run`/`run_batched`/`run_semi_scripted` entry points delegate through
-//! `NoFaults` and are unchanged in behaviour and cost.
+//! loops compile to exactly the fault-free code — the plain
+//! `run`/`run_semi_scripted` entry points pass the disarmed
+//! `Hooks::default()` and are unchanged in behaviour and cost.
 
 use moat_dram::{MitigationEngine, Nanos};
 

@@ -1,5 +1,5 @@
-//! The integrity-guard hook the security simulator threads through its
-//! three execution modes — the recovery-side twin of
+//! The integrity-guard hook, the second member of the simulator's
+//! [`Hooks`](crate::Hooks) bundle — the recovery-side twin of
 //! [`FaultHook`](crate::FaultHook).
 //!
 //! Where a [`FaultHook`](crate::FaultHook) *corrupts* the engine at
@@ -15,9 +15,8 @@
 //! [`GuardHook::ARMED`] is an associated `const`, every call site in the
 //! simulator is guarded by `if G::ARMED`, and the default [`NoGuard`]
 //! hook (`ARMED = false`) constant-folds every guard branch away — the
-//! public `run`/`run_batched`/`run_semi_scripted` entry points (and the
-//! `_with_faults` variants) delegate through `NoGuard` and are unchanged
-//! in behaviour and cost.
+//! plain `run`/`run_semi_scripted` entry points pass the disarmed
+//! `Hooks::default()` and are unchanged in behaviour and cost.
 //!
 //! Ordering contract: the simulator calls the guard **after** the fault
 //! hook at each boundary (inject → detect/repair → promise). Corruption

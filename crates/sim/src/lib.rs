@@ -50,7 +50,7 @@ pub use moat_telemetry::{NoTelemetry, SimEvent, SimPhase, TelemetryHook};
 pub use perf::{PerfConfig, PerfReport, PerfSim, Request, RequestStream, DEFAULT_CHUNK};
 pub use security::{
     hammer_attacker, round_robin_attacker, AttackStep, Attacker, DefenseView, HammerAttacker,
-    RoundRobinAttacker, RunGrant, Scripted, ScriptedAttacker, SecurityConfig, SecurityReport,
+    Hooks, RoundRobinAttacker, RunGrant, ScriptedAttacker, SecurityConfig, SecurityReport,
     SecuritySim, SemiRun, SemiScriptedAttacker, SemiStepped,
 };
 pub use unit::{BankUnit, BankUnitStats, BankUnitView};

@@ -299,10 +299,7 @@ impl<E: MitigationEngine> PerfSim<E> {
     /// chunk (ACTs × tRC → [`SimPhase::EngineUpdate`], REFs × tRFC →
     /// [`SimPhase::Refresh`], RFMs × tRFM → [`SimPhase::EpisodeChurn`],
     /// the unattributed remainder of the chunk's elapsed sim time →
-    /// [`SimPhase::Idle`]). [`SimPhase::StreamDecode`] and
-    /// [`SimPhase::Prefetch`] carry unit counts only (requests decoded,
-    /// prefetch hints issued) — they are host-side work with no
-    /// simulated duration. Nothing is sampled inside the per-request
+    /// [`SimPhase::Idle`]). Nothing is sampled inside the per-request
     /// hot path, so the armed run's report stays bit-identical to the
     /// disarmed one and the disarmed ([`NoTelemetry`]) build
     /// constant-folds back to [`run`](Self::run) exactly.
@@ -329,7 +326,6 @@ impl<E: MitigationEngine> PerfSim<E> {
                 let refs0 = self.units[0].stats().refs;
                 let alerts0 = self.abo.alerts();
                 let rfms0 = self.abo.rfms();
-                let hints = Self::prefetch_hint_count(&chunk, self.units.len());
                 self.issue_chunk(&chunk, &mut st);
                 tel.on_boundary(self.last_end);
 
@@ -356,8 +352,6 @@ impl<E: MitigationEngine> PerfSim<E> {
                 span(tel, SimPhase::Refresh, ref_ns, refs_d);
                 span(tel, SimPhase::EpisodeChurn, rfm_ns, rfms_d);
                 span(tel, SimPhase::Idle, idle_ns, 0);
-                tel.on_phase(SimPhase::StreamDecode, t0, t0, n as u64);
-                tel.on_phase(SimPhase::Prefetch, t0, t0, hints);
                 for _ in 0..refs_d {
                     tel.on_event(self.last_end, SimEvent::Ref);
                 }
@@ -394,26 +388,6 @@ impl<E: MitigationEngine> PerfSim<E> {
         }
         self.drain_trailing_alert();
         self.report()
-    }
-
-    /// Counts the prefetch hints [`issue_chunk`](Self::issue_chunk) will
-    /// emit for `chunk` — the same lookahead, duplicate-skip, and
-    /// bank-range rules, evaluated without touching the units. Only run
-    /// when telemetry is armed; keeps the hint accounting out of the
-    /// issue loop.
-    fn prefetch_hint_count(chunk: &[Request], n_units: usize) -> u64 {
-        let mut last_hint: Option<(BankId, RowId)> = None;
-        let mut hints = 0u64;
-        for i in 0..chunk.len() {
-            if let Some(ahead) = chunk.get(i + PREFETCH_DISTANCE) {
-                let hint = (ahead.bank, ahead.row);
-                if last_hint != Some(hint) && ahead.bank.as_usize() < n_units {
-                    hints += 1;
-                }
-                last_hint = Some(hint);
-            }
-        }
-        hints
     }
 
     /// Issues one chunk of requests. The fast path — no REF due, no ALERT

@@ -8,24 +8,27 @@
 //! defense. The attacker sees the complete defense state each step (threat
 //! model §2.1) and decides the next activation.
 //!
-//! Three execution modes share the same state machine:
+//! Two execution modes — one loop per attacker kind — share the same
+//! state machine:
 //!
 //! * [`SecuritySim::run`] steps an adaptive [`Attacker`] one ACT slot at a
 //!   time — the bit-identical reference every experiment can fall back to.
-//! * [`SecuritySim::run_batched`] drives a non-adaptive
-//!   [`ScriptedAttacker`] between *event horizons*: between two
-//!   state-changing events (next REF deadline, ABO activity-window close,
-//!   earliest possible ALERT per
-//!   [`MitigationEngine::min_acts_to_alert`]) the defense is inert, so a
-//!   whole run of scripted ACTs issues as one batched pass through the
-//!   bank unit instead of re-entering the four-way priority match per
-//!   slot.
-//! * [`SecuritySim::run_semi_scripted`] extends the same batching to
-//!   *adaptive* attackers via the [`SemiScriptedAttacker`] protocol: the
-//!   attacker observes one [`DefenseView`] snapshot per horizon and
+//! * [`SecuritySim::run_semi_scripted`] drives a [`SemiScriptedAttacker`]
+//!   between *event horizons*: between two state-changing events (next
+//!   REF deadline, ABO activity-window close, earliest possible ALERT per
+//!   [`MitigationEngine::min_acts_to_alert`]) the defense is inert, so
+//!   the attacker observes one [`DefenseView`] snapshot per horizon and
 //!   publishes its next run — a burst of activations, an idle stretch, a
-//!   REF postponement, or a stop — valid until the published length or
-//!   the next event horizon, whichever comes first.
+//!   REF postponement, or a stop — which issues as one batched pass
+//!   through the bank unit instead of re-entering the four-way priority
+//!   match per slot. Every non-adaptive [`ScriptedAttacker`] is trivially
+//!   semi-scripted, so scripts batch through the same loop.
+//!
+//! Each mode has a hooked twin, [`SecuritySim::run_with`] and
+//! [`SecuritySim::run_semi_scripted_with`], taking one [`Hooks`] bundle
+//! (fault injection, integrity guard, telemetry). `Hooks::default()` is
+//! disarmed: every hook branch constant-folds away and the hooked twin
+//! *is* the plain loop.
 
 use std::borrow::Cow;
 
@@ -100,13 +103,14 @@ pub trait Attacker {
 /// A non-adaptive single-bank attacker: a script of activations that does
 /// not depend on the defense state.
 ///
-/// Scripted attackers are what [`SecuritySim::run_batched`] drives: the
-/// simulator asks for a run of upcoming rows sized to the current event
-/// horizon and issues the whole run through the bank unit in one batched
-/// pass. Wrapping the same script in [`Scripted`] yields the equivalent
-/// adaptive [`Attacker`] (one [`AttackStep::Act`] per step,
-/// [`AttackStep::Stop`] at exhaustion), which is how the per-step
-/// reference path executes it — both produce bit-identical
+/// Every script is a [`SemiScriptedAttacker`] through a blanket impl, so
+/// [`SecuritySim::run_semi_scripted`] drives it between event horizons:
+/// the simulator asks for a run of upcoming rows sized to the grant's
+/// engine-guaranteed tier and issues the whole run through the bank unit
+/// in one batched pass. Wrapping the same script in [`SemiStepped`]
+/// yields the equivalent adaptive [`Attacker`] (one [`AttackStep::Act`]
+/// per step, [`AttackStep::Stop`] at exhaustion), which is how the
+/// per-step reference path executes it — both produce bit-identical
 /// [`SecurityReport`]s.
 pub trait ScriptedAttacker {
     /// Appends up to `max` upcoming activations to `buf` (the caller
@@ -120,46 +124,6 @@ pub trait ScriptedAttacker {
     /// A short name for reports.
     fn name(&self) -> Cow<'_, str> {
         Cow::Borrowed("scripted")
-    }
-}
-
-/// Adapter running a [`ScriptedAttacker`] as an adaptive [`Attacker`]:
-/// one scripted row per step, [`AttackStep::Stop`] at exhaustion. This is
-/// the per-step reference form of a script — the equivalence oracle the
-/// batched path is regression-tested against.
-#[derive(Debug)]
-pub struct Scripted<A> {
-    inner: A,
-    buf: Vec<RowId>,
-}
-
-impl<A: ScriptedAttacker> Scripted<A> {
-    /// Wraps a script.
-    pub fn new(inner: A) -> Self {
-        Scripted {
-            inner,
-            buf: Vec::with_capacity(1),
-        }
-    }
-
-    /// Returns the wrapped script.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-}
-
-impl<A: ScriptedAttacker> Attacker for Scripted<A> {
-    fn step(&mut self, _view: &DefenseView<'_>) -> AttackStep {
-        self.buf.clear();
-        if self.inner.next_run(&mut self.buf, 1) == 0 {
-            AttackStep::Stop
-        } else {
-            AttackStep::Act(self.buf[0])
-        }
-    }
-
-    fn name(&self) -> Cow<'_, str> {
-        self.inner.name()
     }
 }
 
@@ -282,10 +246,13 @@ impl<A: ScriptedAttacker> SemiScriptedAttacker for A {
     }
 }
 
-/// Adapter running a [`SemiScriptedAttacker`] as a per-step [`Attacker`]:
-/// every step is a grant of exactly one slot. This is the per-step
-/// reference form of a semi-script — handy for equivalence tests and for
-/// mixing a semi-scripted attacker into [`SecuritySim::run`].
+/// Adapter running a [`SemiScriptedAttacker`] (and so any
+/// [`ScriptedAttacker`]) as a per-step [`Attacker`]: every step is a
+/// grant of exactly one slot, and a script hands out one row per step
+/// with [`AttackStep::Stop`] at exhaustion. This is the per-step
+/// reference form — the equivalence oracle the batched loop is
+/// regression-tested against, and the way to mix a semi-scripted
+/// attacker into [`SecuritySim::run`].
 #[derive(Debug)]
 pub struct SemiStepped<A> {
     inner: A,
@@ -320,6 +287,96 @@ impl<A: SemiScriptedAttacker> Attacker for SemiStepped<A> {
 
     fn name(&self) -> Cow<'_, str> {
         self.inner.name()
+    }
+}
+
+/// The hook bundle a simulation loop threads through: fault injection,
+/// integrity guard and telemetry, consulted in that order at every
+/// boundary (inject → detect/repair → observe).
+///
+/// Each hook is a compile-time switch (`ARMED` is an associated `const`
+/// and every call site is guarded by it), so `Hooks::default()` — the
+/// disarmed [`NoFaults`]/[`NoGuard`]/[`NoTelemetry`] bundle — compiles
+/// to the hook-free loop. The `with_*` builders swap in armed hooks; the
+/// bundle owns them, so a caller reads their stats from its fields after
+/// the run.
+#[derive(Debug)]
+pub struct Hooks<F = NoFaults, G = NoGuard, T = NoTelemetry> {
+    /// Fault injection (SEU flips, dropped RFMs, lost ALERTs).
+    pub faults: F,
+    /// Integrity check and repair.
+    pub guard: G,
+    /// Sim-time tracing and metrics.
+    pub tel: T,
+}
+
+impl Default for Hooks {
+    fn default() -> Self {
+        Hooks {
+            faults: NoFaults,
+            guard: NoGuard,
+            tel: NoTelemetry,
+        }
+    }
+}
+
+impl<F: FaultHook, G: GuardHook, T: TelemetryHook> Hooks<F, G, T> {
+    /// This bundle with `faults` as its fault hook.
+    pub fn with_faults<F2: FaultHook>(self, faults: F2) -> Hooks<F2, G, T> {
+        Hooks {
+            faults,
+            guard: self.guard,
+            tel: self.tel,
+        }
+    }
+
+    /// This bundle with `guard` as its integrity guard.
+    pub fn with_guard<G2: GuardHook>(self, guard: G2) -> Hooks<F, G2, T> {
+        Hooks {
+            faults: self.faults,
+            guard,
+            tel: self.tel,
+        }
+    }
+
+    /// This bundle with `tel` as its telemetry hook.
+    pub fn with_tel<T2: TelemetryHook>(self, tel: T2) -> Hooks<F, G, T2> {
+        Hooks {
+            faults: self.faults,
+            guard: self.guard,
+            tel,
+        }
+    }
+
+    /// Records a `[start, end)` span of `phase` (a no-op when disarmed).
+    #[inline(always)]
+    fn phase(&mut self, phase: SimPhase, start: Nanos, end: Nanos, units: u64) {
+        if T::ARMED {
+            self.tel.on_phase(phase, start, end, units);
+        }
+    }
+
+    /// Records a point event (a no-op when disarmed).
+    #[inline(always)]
+    fn event(&mut self, now: Nanos, event: SimEvent) {
+        if T::ARMED {
+            self.tel.on_event(now, event);
+        }
+    }
+
+    /// A boundary at `now`: the fault hook injects, the guard checks and
+    /// repairs, telemetry observes.
+    #[inline(always)]
+    fn at_boundary<E: MitigationEngine>(&mut self, now: Nanos, unit: &mut BankUnit<E>) {
+        if F::ARMED {
+            self.faults.at_boundary(now, unit.engine_mut());
+        }
+        if G::ARMED {
+            self.guard.at_boundary(now, unit);
+        }
+        if T::ARMED {
+            self.tel.on_boundary(now);
+        }
     }
 }
 
@@ -449,97 +506,50 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// Runs `attacker` for `duration` of virtual time (or until it stops)
     /// and reports the outcome. Can be called repeatedly; time continues.
     pub fn run(&mut self, attacker: &mut dyn Attacker, duration: Nanos) -> SecurityReport {
-        self.run_with_faults(attacker, duration, &mut NoFaults)
+        self.run_with(attacker, duration, &mut Hooks::default())
     }
 
-    /// [`run`](Self::run) with a [`FaultHook`] threaded through: the hook
-    /// sees every ACT slot as a boundary and may corrupt the engine,
-    /// drop RFMs, or lose ALERT assertions. With the disarmed
-    /// [`NoFaults`] hook (what [`run`](Self::run) passes) every fault
-    /// branch constant-folds away and this *is* the fault-free loop.
-    pub fn run_with_faults<F: FaultHook>(
+    /// [`run`](Self::run) with a [`Hooks`] bundle threaded through: every
+    /// ACT slot is a boundary where the fault hook may corrupt the
+    /// engine, the guard then checks and repairs it, and telemetry
+    /// observes the settled state (inject → detect/repair → observe). The
+    /// fault hook may also drop RFMs and lose ALERT assertions. With the
+    /// disarmed `Hooks::default()` (what [`run`](Self::run) passes) every
+    /// hook branch constant-folds away and this *is* the plain loop.
+    pub fn run_with<F: FaultHook, G: GuardHook, T: TelemetryHook>(
         &mut self,
         attacker: &mut dyn Attacker,
         duration: Nanos,
-        faults: &mut F,
-    ) -> SecurityReport {
-        self.run_guarded(attacker, duration, faults, &mut NoGuard)
-    }
-
-    /// [`run_with_faults`](Self::run_with_faults) with a [`GuardHook`]
-    /// threaded through as well: the guard observes every boundary
-    /// immediately *after* the fault hook's injection point (inject →
-    /// detect/repair → act), so boundary-injected corruption never
-    /// reaches the defense priority match unchecked. With the disarmed
-    /// [`NoGuard`] hook every guard branch constant-folds away and this
-    /// *is* [`run_with_faults`](Self::run_with_faults).
-    pub fn run_guarded<F: FaultHook, G: GuardHook>(
-        &mut self,
-        attacker: &mut dyn Attacker,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-    ) -> SecurityReport {
-        self.run_traced(attacker, duration, faults, guard, &mut NoTelemetry)
-    }
-
-    /// [`run_guarded`](Self::run_guarded) with a [`TelemetryHook`]
-    /// threaded through as well — the outermost layer of the hook
-    /// stack, observing each boundary *after* the fault hook has
-    /// injected and the guard has detected/repaired (inject →
-    /// detect/repair → observe). Telemetry is read-only: everything it
-    /// records derives from sim time and ACT counts, and with the
-    /// disarmed [`NoTelemetry`] hook every instrumentation branch
-    /// constant-folds away — this *is*
-    /// [`run_guarded`](Self::run_guarded).
-    pub fn run_traced<F: FaultHook, G: GuardHook, T: TelemetryHook>(
-        &mut self,
-        attacker: &mut dyn Attacker,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-        tel: &mut T,
+        hooks: &mut Hooks<F, G, T>,
     ) -> SecurityReport {
         let end = self.now + duration;
         let t_rc = self.config.dram.timing.t_rc;
         let t_rfc = self.config.dram.timing.t_rfc;
 
         while self.now < end {
-            if F::ARMED {
-                faults.at_boundary(self.now, self.unit.engine_mut());
-            }
-            if G::ARMED {
-                guard.at_boundary(self.now, &mut self.unit);
-            }
-            if T::ARMED {
-                tel.on_boundary(self.now);
-            }
+            hooks.at_boundary(self.now, &mut self.unit);
 
             // 1. ABO RFM phase has priority once the activity window closes.
             match self.abo.phase() {
                 AboPhase::ActWindow { stall_at } if self.now >= stall_at => {
                     let t0 = self.now;
                     let done = self.abo.start_rfm(self.now).expect("rfm after window");
-                    if !(F::ARMED && faults.drop_rfm(self.now)) {
+                    if !(F::ARMED && hooks.faults.drop_rfm(self.now)) {
                         self.unit.rfm_mitigate();
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    }
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                     continue;
                 }
                 AboPhase::Rfm { busy_until, .. } => {
                     let t0 = self.now;
                     let t = self.now.max(busy_until);
                     let done = self.abo.start_rfm(t).expect("chained rfm");
-                    if !(F::ARMED && faults.drop_rfm(self.now)) {
+                    if !(F::ARMED && hooks.faults.drop_rfm(self.now)) {
                         self.unit.rfm_mitigate();
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    }
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                     continue;
                 }
                 _ => {}
@@ -550,24 +560,20 @@ impl<E: MitigationEngine> SecuritySim<E> {
                 let t0 = self.now;
                 self.unit.perform_ref(self.now);
                 self.now += t_rfc;
-                if T::ARMED {
-                    tel.on_event(t0, SimEvent::Ref);
-                    tel.on_phase(SimPhase::Refresh, t0, self.now, 1);
-                }
+                hooks.event(t0, SimEvent::Ref);
+                hooks.phase(SimPhase::Refresh, t0, self.now, 1);
                 continue;
             }
 
             // 3. Assert ALERT as soon as requested and permitted.
             if self.config.alerts_enabled && self.unit.alert_pending() && self.abo.can_assert() {
-                if F::ARMED && faults.lose_alert(self.now) {
+                if F::ARMED && hooks.faults.lose_alert(self.now) {
                     // The assertion is lost in flight: clear the request
                     // latch; it re-arms when a counter next crosses ATH.
                     self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
                 } else {
                     self.abo.assert_alert(self.now).expect("can_assert checked");
-                    if T::ARMED {
-                        tel.on_event(self.now, SimEvent::Alert);
-                    }
+                    hooks.event(self.now, SimEvent::Alert);
                     // Normal operation continues inside the 180 ns window.
                 }
             }
@@ -584,17 +590,13 @@ impl<E: MitigationEngine> SecuritySim<E> {
             match step {
                 AttackStep::Stop => break,
                 AttackStep::Idle => {
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                    }
+                    hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
                     self.now += t_rc;
                 }
                 AttackStep::PostponeRef => {
                     if self.unit.refresh_mut().postpone().is_err() {
                         // Budget exhausted: burn the slot instead.
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                        }
+                        hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
                         self.now += t_rc;
                     }
                 }
@@ -603,9 +605,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
                     // before the stall point.
                     if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
                         if self.now + t_rc > stall_at {
-                            if T::ARMED {
-                                tel.on_phase(SimPhase::Idle, self.now, stall_at, 0);
-                            }
+                            hooks.phase(SimPhase::Idle, self.now, stall_at, 0);
                             self.now = stall_at;
                             continue;
                         }
@@ -616,17 +616,13 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         Ok(_) => {
                             self.abo.on_act();
                             self.now = t + t_rc;
-                            if T::ARMED {
-                                tel.on_phase(SimPhase::EngineUpdate, t0, self.now, 1);
-                            }
+                            hooks.phase(SimPhase::EngineUpdate, t0, self.now, 1);
                         }
                         Err(_) => {
                             // Timing said no; advance to the bank's ready
                             // time and retry next iteration.
                             self.now = self.unit.bank().next_ready();
-                            if T::ARMED {
-                                tel.on_phase(SimPhase::Idle, t0, self.now, 0);
-                            }
+                            hooks.phase(SimPhase::Idle, t0, self.now, 0);
                         }
                     }
                 }
@@ -636,175 +632,10 @@ impl<E: MitigationEngine> SecuritySim<E> {
         self.report()
     }
 
-    /// Runs a non-adaptive `attacker` for `duration` of virtual time (or
-    /// until its script ends) — the event-horizon batched fast path.
-    ///
-    /// Between two state-changing events the defense is inert, so instead
-    /// of re-entering the per-slot priority match of [`run`](Self::run),
-    /// the simulator computes how many ACTs are provably event-free — the
-    /// minimum over the next REF deadline, the remaining duration, and
-    /// the engine's [`MitigationEngine::min_acts_to_alert`] horizon — and
-    /// issues that whole run through the bank unit in one batched,
-    /// prefetching pass. ALERT episodes resolve against the pre-resolved
-    /// [`EpisodeSchedule`](moat_dram::EpisodeSchedule) (assert → stall →
-    /// `L` RFMs as one arithmetic step) instead of per-RFM protocol
-    /// round-trips, the episode's ~3 in-window ACTs batch against the
-    /// precomputed stall point, and a spacing-stalled ALERT batches the
-    /// exact run of ACTs the inter-ALERT rule still owes.
-    ///
-    /// Purely a host-side optimization: the report is bit-identical to
-    /// `run` over [`Scripted::new`] of the same script (pinned by the
-    /// `batched_matches_per_step` proptest). Like `run`, it can be called
-    /// repeatedly and time continues.
-    pub fn run_batched<A: ScriptedAttacker + ?Sized>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-    ) -> SecurityReport {
-        self.run_batched_with_faults(attacker, duration, &mut NoFaults)
-    }
-
-    /// [`run_batched`](Self::run_batched) with a [`FaultHook`] threaded
-    /// through: the hook sees every event-horizon boundary and may
-    /// corrupt the engine there. When armed, granted runs issue one ACT
-    /// at a time with the engine's promised horizon checked after each —
-    /// a fault that breaks the
-    /// [`min_acts_to_alert`](MitigationEngine::min_acts_to_alert)
-    /// invariant is reported via [`FaultHook::on_unsound_horizon`] and
-    /// the remainder of the grant still executes (the controller already
-    /// committed to the burst; the escaped ACTs are the measured damage).
-    /// With the disarmed [`NoFaults`] hook every fault branch
-    /// constant-folds away and the batched hot path is byte-for-byte the
-    /// fault-free one.
-    pub fn run_batched_with_faults<A: ScriptedAttacker + ?Sized, F: FaultHook>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-    ) -> SecurityReport {
-        self.run_batched_guarded(attacker, duration, faults, &mut NoGuard)
-    }
-
-    /// [`run_batched_with_faults`](Self::run_batched_with_faults) with a
-    /// [`GuardHook`] threaded through as well: the guard observes every
-    /// event-horizon boundary immediately *after* the fault hook's
-    /// injection point, so the engine's promise for the upcoming grant is
-    /// computed on checked (and possibly repaired) state — an armed guard
-    /// with the conservative fallback closes boundary-injected unsound
-    /// horizons entirely. With the disarmed [`NoGuard`] hook this *is*
-    /// [`run_batched_with_faults`](Self::run_batched_with_faults).
-    pub fn run_batched_guarded<A: ScriptedAttacker + ?Sized, F: FaultHook, G: GuardHook>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-    ) -> SecurityReport {
-        self.run_batched_traced(attacker, duration, faults, guard, &mut NoTelemetry)
-    }
-
-    /// [`run_batched_guarded`](Self::run_batched_guarded) with a
-    /// [`TelemetryHook`] threaded through as well — the outermost hook
-    /// layer (inject → detect/repair → observe), recording each
-    /// event-horizon boundary, ALERT episode, REF, and granted run as
-    /// sim-time spans. With the disarmed [`NoTelemetry`] hook every
-    /// instrumentation branch constant-folds away and this *is*
-    /// [`run_batched_guarded`](Self::run_batched_guarded).
-    pub fn run_batched_traced<A, F, G, T>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-        tel: &mut T,
-    ) -> SecurityReport
-    where
-        A: ScriptedAttacker + ?Sized,
-        F: FaultHook,
-        G: GuardHook,
-        T: TelemetryHook,
-    {
-        let end = self.now + duration;
-        let t_rc = self.config.dram.timing.t_rc;
-        let t_rfc = self.config.dram.timing.t_rfc;
-        let mut run: Vec<RowId> = Vec::with_capacity(MAX_RUN);
-
-        while self.now < end {
-            if F::ARMED {
-                faults.at_boundary(self.now, self.unit.engine_mut());
-            }
-            if G::ARMED {
-                guard.at_boundary(self.now, &mut self.unit);
-            }
-            if T::ARMED {
-                tel.on_boundary(self.now);
-            }
-            if self.advance_defense(end, t_rfc, faults, tel) {
-                continue;
-            }
-
-            // 4. Issue the next event-free run (or a single guarded step).
-            // A script models nothing about the defense, so it runs in
-            // the engine-guaranteed tier of the grant.
-            let horizon = self.act_grant(end, t_rc).alert_safe;
-            run.clear();
-            if horizon > 1 {
-                let n = attacker.next_run(&mut run, horizon);
-                if n == 0 {
-                    break;
-                }
-                let t0 = self.now;
-                if F::ARMED {
-                    let promised = self.engine_promise(horizon);
-                    self.issue_run_checked(&run[..n], promised, t_rc, faults);
-                } else {
-                    self.unit.activate_run(&run[..n], self.now, t_rc);
-                    self.abo.on_acts(n as u64);
-                    self.now += t_rc * (n as u64);
-                }
-                if T::ARMED {
-                    tel.on_phase(SimPhase::EngineUpdate, t0, self.now, n as u64);
-                }
-            } else {
-                // Per-step fallback: inside an ALERT window, under a
-                // spacing-stalled ALERT, or with no engine guarantee.
-                if attacker.next_run(&mut run, 1) == 0 {
-                    break;
-                }
-                let row = run[0];
-                // Inside an ALERT activity window, an ACT must finish
-                // before the stall point; the slot (and its row) is
-                // otherwise dropped, as in the per-step reference.
-                if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                    if self.now + t_rc > stall_at {
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::Idle, self.now, stall_at, 0);
-                        }
-                        self.now = stall_at;
-                        continue;
-                    }
-                }
-                let t0 = self.now;
-                let t = self.now.max(self.unit.bank().next_ready());
-                self.unit
-                    .activate(row, t)
-                    .expect("scripted row within the bank");
-                self.abo.on_act();
-                self.now = t + t_rc;
-                if T::ARMED {
-                    tel.on_phase(SimPhase::EngineUpdate, t0, self.now, 1);
-                }
-            }
-        }
-
-        self.report()
-    }
-
-    /// Steps 1–3 shared by both batched execution modes
-    /// ([`run_batched`](Self::run_batched) and
-    /// [`run_semi_scripted`](Self::run_semi_scripted)); returns `true`
-    /// when it advanced the defense (an RFM phase step or a REF) and the
-    /// caller must re-enter its loop to re-evaluate priorities.
+    /// Steps 1–3 of the batched loop
+    /// ([`run_semi_scripted_with`](Self::run_semi_scripted_with)); returns
+    /// `true` when it advanced the defense (an RFM phase step or a REF)
+    /// and the caller must re-enter its loop to re-evaluate priorities.
     ///
     /// The RFM phase flattens into one arithmetic step via
     /// [`AboProtocol::complete_episode`] when the whole phase runs before
@@ -813,12 +644,11 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// so the episode drains per-RFM to stop at the identical point — a
     /// published run whose horizon lands inside an ALERT episode resumes
     /// through the same per-RFM path on the next call.
-    fn advance_defense<F: FaultHook, T: TelemetryHook>(
+    fn advance_defense<F: FaultHook, G: GuardHook, T: TelemetryHook>(
         &mut self,
         end: Nanos,
         t_rfc: Nanos,
-        faults: &mut F,
-        tel: &mut T,
+        hooks: &mut Hooks<F, G, T>,
     ) -> bool {
         // 1. ABO RFM phase has priority once the activity window closes.
         match self.abo.phase() {
@@ -832,24 +662,20 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         .complete_episode(self.now)
                         .expect("episode after window");
                     for _ in 0..rfms {
-                        if !(F::ARMED && faults.drop_rfm(self.now)) {
+                        if !(F::ARMED && hooks.faults.drop_rfm(self.now)) {
                             self.unit.rfm_mitigate();
                         }
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_event(t0, SimEvent::Episode { rfms });
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, rfms);
-                    }
+                    hooks.event(t0, SimEvent::Episode { rfms });
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, rfms);
                 } else {
                     let done = self.abo.start_rfm(self.now).expect("rfm after window");
-                    if !(F::ARMED && faults.drop_rfm(self.now)) {
+                    if !(F::ARMED && hooks.faults.drop_rfm(self.now)) {
                         self.unit.rfm_mitigate();
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    }
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                 }
                 return true;
             }
@@ -860,13 +686,11 @@ impl<E: MitigationEngine> SecuritySim<E> {
                 let t0 = self.now;
                 let t = self.now.max(busy_until);
                 let done = self.abo.start_rfm(t).expect("chained rfm");
-                if !(F::ARMED && faults.drop_rfm(self.now)) {
+                if !(F::ARMED && hooks.faults.drop_rfm(self.now)) {
                     self.unit.rfm_mitigate();
                 }
                 self.now = done;
-                if T::ARMED {
-                    tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                }
+                hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                 return true;
             }
             _ => {}
@@ -877,24 +701,20 @@ impl<E: MitigationEngine> SecuritySim<E> {
             let t0 = self.now;
             self.unit.perform_ref(self.now);
             self.now += t_rfc;
-            if T::ARMED {
-                tel.on_event(t0, SimEvent::Ref);
-                tel.on_phase(SimPhase::Refresh, t0, self.now, 1);
-            }
+            hooks.event(t0, SimEvent::Ref);
+            hooks.phase(SimPhase::Refresh, t0, self.now, 1);
             return true;
         }
 
         // 3. Assert ALERT as soon as requested and permitted.
         if self.config.alerts_enabled && self.unit.alert_pending() && self.abo.can_assert() {
-            if F::ARMED && faults.lose_alert(self.now) {
+            if F::ARMED && hooks.faults.lose_alert(self.now) {
                 // The assertion is lost in flight: clear the request
                 // latch; it re-arms when a counter next crosses ATH.
                 self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
             } else {
                 self.abo.assert_alert(self.now).expect("can_assert checked");
-                if T::ARMED {
-                    tel.on_event(self.now, SimEvent::Alert);
-                }
+                hooks.event(self.now, SimEvent::Alert);
             }
         }
         false
@@ -927,12 +747,12 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// the next boundary). Called only on armed paths — the disarmed
     /// build issues the whole run through the batched
     /// [`BankUnit::activate_run`] pass.
-    fn issue_run_checked<F: FaultHook>(
+    fn issue_run_checked<F: FaultHook, G: GuardHook, T: TelemetryHook>(
         &mut self,
         run: &[RowId],
         promised: u64,
         t_rc: Nanos,
-        faults: &mut F,
+        hooks: &mut Hooks<F, G, T>,
     ) {
         // `u64::MAX` marks a promise-free grant (see `engine_promise`):
         // the flag may flip mid-run legitimately, so nothing to check.
@@ -945,86 +765,62 @@ impl<E: MitigationEngine> SecuritySim<E> {
             self.now += t_rc;
             let done = (i + 1) as u64;
             if !reported && done < promised && self.unit.alert_pending() {
-                faults.on_unsound_horizon(self.now, promised, done);
+                hooks.faults.on_unsound_horizon(self.now, promised, done);
                 reported = true;
             }
         }
     }
 
     /// Runs a [`SemiScriptedAttacker`] for `duration` of virtual time (or
-    /// until it stops) — event-horizon batching for *adaptive* attackers.
+    /// until it stops) — the event-horizon batched fast path.
     ///
-    /// Each loop iteration hands the attacker one fresh [`DefenseView`]
-    /// snapshot and a two-tier [`RunGrant`] (the same
-    /// [`act_grant`](Self::act_grant) computation whose engine-safe tier
-    /// drives the scripted batched path); the attacker publishes its
-    /// next run against that snapshot and is only re-consulted at the
-    /// next horizon boundary. Published idle stretches batch the same
-    /// way, capped at the next REF deadline or ALERT stall point.
+    /// Each loop iteration computes how many ACT slots are provably
+    /// event-free — the minimum over the next REF deadline, the remaining
+    /// duration, and (for the engine-guaranteed tier) the engine's
+    /// [`MitigationEngine::min_acts_to_alert`] horizon — and hands the
+    /// attacker one fresh [`DefenseView`] snapshot with that two-tier
+    /// [`RunGrant`]. The published run issues through the bank unit in
+    /// one batched, prefetching pass, and the attacker is only
+    /// re-consulted at the next horizon boundary. Published idle
+    /// stretches batch the same way, capped at the next REF deadline or
+    /// ALERT stall point. ALERT episodes resolve against the pre-resolved
+    /// [`EpisodeSchedule`](moat_dram::EpisodeSchedule) (assert → stall →
+    /// `L` RFMs as one arithmetic step) instead of per-RFM protocol
+    /// round-trips.
     ///
     /// Purely a host-side optimization: under the publish contract on
     /// [`SemiScriptedAttacker`], the report is bit-identical to
-    /// [`run`](Self::run) over the equivalent per-step attacker (pinned
-    /// by the `semi_equivalence` proptests in `moat-attacks`). Like the
-    /// other modes, it can be called repeatedly and time continues.
+    /// [`run`](Self::run) over [`SemiStepped::new`] of the same attacker
+    /// (pinned by the `batched_matches_per_step` proptests here and the
+    /// `semi_equivalence` proptests in `moat-attacks`). Like `run`, it can
+    /// be called repeatedly and time continues.
     pub fn run_semi_scripted<A: SemiScriptedAttacker + ?Sized>(
         &mut self,
         attacker: &mut A,
         duration: Nanos,
     ) -> SecurityReport {
-        self.run_semi_scripted_with_faults(attacker, duration, &mut NoFaults)
+        self.run_semi_scripted_with(attacker, duration, &mut Hooks::default())
     }
 
-    /// [`run_semi_scripted`](Self::run_semi_scripted) with a
-    /// [`FaultHook`] threaded through — the same injection points and
-    /// armed-run horizon checking as
-    /// [`run_batched_with_faults`](Self::run_batched_with_faults), with
-    /// the engine-guaranteed tier ([`RunGrant::alert_safe`]) as the
-    /// checked promise (engine-aware attackers may legitimately publish
-    /// past it). Disarmed ([`NoFaults`]), this is byte-for-byte the
-    /// fault-free loop.
-    pub fn run_semi_scripted_with_faults<A: SemiScriptedAttacker + ?Sized, F: FaultHook>(
+    /// [`run_semi_scripted`](Self::run_semi_scripted) with a [`Hooks`]
+    /// bundle threaded through: every event-horizon boundary sees the
+    /// fault hook inject, then the guard check and repair, then telemetry
+    /// observe — so the engine's promise for the upcoming grant is
+    /// computed on checked (and possibly repaired) state. With faults
+    /// armed, granted runs issue one ACT at a time with the
+    /// engine-guaranteed tier ([`RunGrant::alert_safe`]) checked after
+    /// each: a fault that breaks the
+    /// [`min_acts_to_alert`](MitigationEngine::min_acts_to_alert)
+    /// invariant is reported via [`FaultHook::on_unsound_horizon`] and the
+    /// remainder of the grant still executes (the controller already
+    /// committed to the burst; the escaped ACTs are the measured damage).
+    /// With the disarmed `Hooks::default()` every hook branch
+    /// constant-folds away and this *is* the plain batched loop.
+    pub fn run_semi_scripted_with<A, F, G, T>(
         &mut self,
         attacker: &mut A,
         duration: Nanos,
-        faults: &mut F,
-    ) -> SecurityReport {
-        self.run_semi_scripted_guarded(attacker, duration, faults, &mut NoGuard)
-    }
-
-    /// [`run_semi_scripted_with_faults`](Self::run_semi_scripted_with_faults)
-    /// with a [`GuardHook`] threaded through as well — the same
-    /// inject-then-check boundary ordering as
-    /// [`run_batched_guarded`](Self::run_batched_guarded). With the
-    /// disarmed [`NoGuard`] hook this *is* the `_with_faults` loop.
-    pub fn run_semi_scripted_guarded<A, F, G>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-    ) -> SecurityReport
-    where
-        A: SemiScriptedAttacker + ?Sized,
-        F: FaultHook,
-        G: GuardHook,
-    {
-        self.run_semi_scripted_traced(attacker, duration, faults, guard, &mut NoTelemetry)
-    }
-
-    /// [`run_semi_scripted_guarded`](Self::run_semi_scripted_guarded)
-    /// with a [`TelemetryHook`] threaded through as well — the
-    /// outermost hook layer (inject → detect/repair → observe), with
-    /// the same span vocabulary as
-    /// [`run_batched_traced`](Self::run_batched_traced). With the
-    /// disarmed [`NoTelemetry`] hook this *is* the `_guarded` loop.
-    pub fn run_semi_scripted_traced<A, F, G, T>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-        tel: &mut T,
+        hooks: &mut Hooks<F, G, T>,
     ) -> SecurityReport
     where
         A: SemiScriptedAttacker + ?Sized,
@@ -1038,16 +834,8 @@ impl<E: MitigationEngine> SecuritySim<E> {
         let mut run: Vec<RowId> = Vec::with_capacity(MAX_RUN);
 
         while self.now < end {
-            if F::ARMED {
-                faults.at_boundary(self.now, self.unit.engine_mut());
-            }
-            if G::ARMED {
-                guard.at_boundary(self.now, &mut self.unit);
-            }
-            if T::ARMED {
-                tel.on_boundary(self.now);
-            }
-            if self.advance_defense(end, t_rfc, faults, tel) {
+            hooks.at_boundary(self.now, &mut self.unit);
+            if self.advance_defense(end, t_rfc, hooks) {
                 continue;
             }
 
@@ -1067,17 +855,13 @@ impl<E: MitigationEngine> SecuritySim<E> {
                 SemiRun::PostponeRef => {
                     if self.unit.refresh_mut().postpone().is_err() {
                         // Budget exhausted: burn the slot instead.
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                        }
+                        hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
                         self.now += t_rc;
                     }
                 }
                 SemiRun::Idle(want) => {
                     let n = self.idle_horizon(end, t_rc).min(want.max(1));
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc * n, n);
-                    }
+                    hooks.phase(SimPhase::Idle, self.now, self.now + t_rc * n, n);
                     self.now += t_rc * n;
                 }
                 SemiRun::Acts(n) => {
@@ -1089,15 +873,13 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         let t0 = self.now;
                         if F::ARMED {
                             let promised = self.engine_promise(grant.alert_safe);
-                            self.issue_run_checked(&run[..n], promised, t_rc, faults);
+                            self.issue_run_checked(&run[..n], promised, t_rc, hooks);
                         } else {
                             self.unit.activate_run(&run[..n], self.now, t_rc);
                             self.abo.on_acts(n as u64);
                             self.now += t_rc * (n as u64);
                         }
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::EngineUpdate, t0, self.now, n as u64);
-                        }
+                        hooks.phase(SimPhase::EngineUpdate, t0, self.now, n as u64);
                     } else {
                         // Single guarded step: inside an ALERT window,
                         // under a spacing-stalled ALERT, or with no
@@ -1107,9 +889,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         let row = run[0];
                         if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
                             if self.now + t_rc > stall_at {
-                                if T::ARMED {
-                                    tel.on_phase(SimPhase::Idle, self.now, stall_at, 0);
-                                }
+                                hooks.phase(SimPhase::Idle, self.now, stall_at, 0);
                                 self.now = stall_at;
                                 continue;
                             }
@@ -1121,9 +901,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
                             .expect("published row within the bank");
                         self.abo.on_act();
                         self.now = t + t_rc;
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::EngineUpdate, t0, self.now, 1);
-                        }
+                        hooks.phase(SimPhase::EngineUpdate, t0, self.now, 1);
                     }
                 }
             }
@@ -1465,15 +1243,18 @@ mod tests {
     #[test]
     fn batched_hammer_matches_per_step() {
         // The event-horizon batched path is a host-side optimization
-        // only: bit-identical reports to the per-step reference.
+        // only: every ScriptedAttacker is trivially semi-scripted, and the
+        // semi loop must land on the per-step reference's trajectory,
+        // including ALERT episodes and REFs.
         for millis in [1u64, 4] {
             let mut per_step = moat_sim();
             let expect = per_step.run(
-                &mut Scripted::new(hammer_attacker(10_000)),
+                &mut SemiStepped::new(hammer_attacker(10_000)),
                 Nanos::from_millis(millis),
             );
             let mut batched = moat_sim();
-            let got = batched.run_batched(&mut hammer_attacker(10_000), Nanos::from_millis(millis));
+            let got =
+                batched.run_semi_scripted(&mut hammer_attacker(10_000), Nanos::from_millis(millis));
             assert_eq!(got, expect, "{millis} ms");
             assert!(got.alerts > 0, "the comparison must exercise episodes");
         }
@@ -1484,11 +1265,11 @@ mod tests {
         let rows = vec![20_000, 20_006, 20_012, 20_018, 20_024];
         let mut per_step = moat_sim();
         let expect = per_step.run(
-            &mut Scripted::new(round_robin_attacker(rows.clone())),
+            &mut SemiStepped::new(round_robin_attacker(rows.clone())),
             Nanos::from_millis(2),
         );
         let mut batched = moat_sim();
-        let got = batched.run_batched(&mut round_robin_attacker(rows), Nanos::from_millis(2));
+        let got = batched.run_semi_scripted(&mut round_robin_attacker(rows), Nanos::from_millis(2));
         assert_eq!(got, expect);
         assert!(expect.refs > 0 && expect.alerts > 0);
     }
@@ -1499,23 +1280,24 @@ mod tests {
         // splitting at the same instants, a batched pair of runs matches
         // a per-step pair, and the two modes can trade off mid-attack.
         let mut batched = moat_sim();
-        batched.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
-        let batched_report = batched.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
+        batched.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
+        let batched_report =
+            batched.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
         let mut per_step = moat_sim();
         per_step.run(
-            &mut Scripted::new(hammer_attacker(77)),
+            &mut SemiStepped::new(hammer_attacker(77)),
             Nanos::from_millis(1),
         );
         let per_step_report = per_step.run(
-            &mut Scripted::new(hammer_attacker(77)),
+            &mut SemiStepped::new(hammer_attacker(77)),
             Nanos::from_millis(1),
         );
         assert_eq!(batched_report, per_step_report);
         // And a mode switch mid-attack stays on the same trajectory.
         let mut mixed = moat_sim();
-        mixed.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
+        mixed.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
         let mixed_report = mixed.run(
-            &mut Scripted::new(hammer_attacker(77)),
+            &mut SemiStepped::new(hammer_attacker(77)),
             Nanos::from_millis(1),
         );
         assert_eq!(mixed_report, per_step_report);
@@ -1536,10 +1318,11 @@ mod tests {
             }
         }
         let mut batched = moat_sim();
-        let got = batched.run_batched(&mut Finite(1000, RowId::new(9)), Nanos::from_millis(50));
+        let got =
+            batched.run_semi_scripted(&mut Finite(1000, RowId::new(9)), Nanos::from_millis(50));
         let mut per_step = moat_sim();
         let expect = per_step.run(
-            &mut Scripted::new(Finite(1000, RowId::new(9))),
+            &mut SemiStepped::new(Finite(1000, RowId::new(9))),
             Nanos::from_millis(50),
         );
         assert_eq!(got, expect);
@@ -1567,11 +1350,12 @@ mod tests {
                 || SecuritySim::new(SecurityConfig::paper_default(), PanopticonEngine::new(pano));
             let mut per_step = mk();
             let expect = per_step.run(
-                &mut Scripted::new(hammer_attacker(20_000)),
+                &mut SemiStepped::new(hammer_attacker(20_000)),
                 Nanos::from_millis(4),
             );
             let mut batched = mk();
-            let got = batched.run_batched(&mut hammer_attacker(20_000), Nanos::from_millis(4));
+            let got =
+                batched.run_semi_scripted(&mut hammer_attacker(20_000), Nanos::from_millis(4));
             assert_eq!(got, expect, "drain_on_ref={}", pano.drain_on_ref);
             assert!(expect.refs > 0);
         }
@@ -1594,11 +1378,11 @@ mod tests {
         };
         let mut per_step = mk();
         let expect = per_step.run(
-            &mut Scripted::new(hammer_attacker(10_000)),
+            &mut SemiStepped::new(hammer_attacker(10_000)),
             Nanos::from_millis(3),
         );
         let mut batched = mk();
-        let got = batched.run_batched(&mut hammer_attacker(10_000), Nanos::from_millis(3));
+        let got = batched.run_semi_scripted(&mut hammer_attacker(10_000), Nanos::from_millis(3));
         assert_eq!(got, expect);
         assert!(got.alerts > 10, "episodes must be exercised");
     }
@@ -1606,41 +1390,13 @@ mod tests {
     #[test]
     fn batched_moat_bound_matches_per_step_invariant() {
         let mut sim = moat_sim();
-        let report = sim.run_batched(&mut hammer_attacker(10_000), Nanos::from_millis(2));
+        let report = sim.run_semi_scripted(&mut hammer_attacker(10_000), Nanos::from_millis(2));
         assert!(report.alerts > 0);
         assert!(
             report.max_pressure <= 64 + 5,
             "pressure {} exceeds ATH plus the in-window slack",
             report.max_pressure
         );
-    }
-
-    #[test]
-    fn semi_scripted_matches_per_step_for_scripts() {
-        // Every ScriptedAttacker is trivially semi-scripted; the semi
-        // loop must land on the identical trajectory, including ALERT
-        // episodes and REFs.
-        for millis in [1u64, 4] {
-            let mut per_step = moat_sim();
-            let expect = per_step.run(
-                &mut Scripted::new(hammer_attacker(10_000)),
-                Nanos::from_millis(millis),
-            );
-            let mut semi = moat_sim();
-            let got =
-                semi.run_semi_scripted(&mut hammer_attacker(10_000), Nanos::from_millis(millis));
-            assert_eq!(got, expect, "{millis} ms");
-            assert!(got.alerts > 0, "the comparison must exercise episodes");
-        }
-        let rows = vec![20_000, 20_006, 20_012, 20_018, 20_024];
-        let mut per_step = moat_sim();
-        let expect = per_step.run(
-            &mut Scripted::new(round_robin_attacker(rows.clone())),
-            Nanos::from_millis(2),
-        );
-        let mut semi = moat_sim();
-        let got = semi.run_semi_scripted(&mut round_robin_attacker(rows), Nanos::from_millis(2));
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -1662,7 +1418,7 @@ mod tests {
             };
             let mut per_step = mk();
             let expect = per_step.run(
-                &mut Scripted::new(hammer_attacker(10_000)),
+                &mut SemiStepped::new(hammer_attacker(10_000)),
                 Nanos::from_millis(3),
             );
             let mut semi = mk();
@@ -1790,17 +1546,21 @@ mod tests {
         let semi_report = semi.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
         let mut per_step = moat_sim();
         per_step.run(
-            &mut Scripted::new(hammer_attacker(77)),
+            &mut SemiStepped::new(hammer_attacker(77)),
             Nanos::from_millis(1),
         );
         let per_step_report = per_step.run(
-            &mut Scripted::new(hammer_attacker(77)),
+            &mut SemiStepped::new(hammer_attacker(77)),
             Nanos::from_millis(1),
         );
         assert_eq!(semi_report, per_step_report);
-        // All three modes interleave on the same trajectory.
+        // Per-step first, batched second: the modes interleave on the
+        // same trajectory in either order.
         let mut mixed = moat_sim();
-        mixed.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
+        mixed.run(
+            &mut SemiStepped::new(hammer_attacker(77)),
+            Nanos::from_millis(1),
+        );
         let mixed_report = mixed.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
         assert_eq!(mixed_report, per_step_report);
     }
@@ -1816,7 +1576,7 @@ mod tests {
         let rr = round_robin_attacker(vec![1, 2, 3]);
         assert_eq!(ScriptedAttacker::name(&rr), "round-robin(3 rows)");
         assert!(matches!(ScriptedAttacker::name(&rr), Cow::Borrowed(_)));
-        let wrapped = Scripted::new(hammer_attacker(9));
+        let wrapped = SemiStepped::new(hammer_attacker(9));
         assert_eq!(wrapped.name(), "hammer(9)");
     }
 

@@ -6,13 +6,13 @@
 use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::{AboLevel, BankId, Nanos, RowId};
 use moat_sim::{
-    AttackStep, Attacker, DefenseView, PerfConfig, PerfSim, Request, Scripted, ScriptedAttacker,
-    SecurityConfig, SecuritySim, SlotBudget,
+    AttackStep, Attacker, DefenseView, PerfConfig, PerfSim, Request, ScriptedAttacker,
+    SecurityConfig, SecuritySim, SemiStepped, SlotBudget,
 };
 use proptest::prelude::*;
 
 /// A finite scripted kernel: cycle over a row pattern for a fixed number
-/// of activations — the non-adaptive shape `run_batched` accelerates.
+/// of activations — the non-adaptive shape the batched loop accelerates.
 #[derive(Debug, Clone)]
 struct PatternScript {
     rows: Vec<RowId>,
@@ -219,9 +219,9 @@ proptest! {
 
         let engine = || MoatEngine::new(MoatConfig::with_ath(ath).level(level));
         let mut per_step = SecuritySim::new(cfg, engine());
-        let expect = per_step.run(&mut Scripted::new(script.clone()), duration);
+        let expect = per_step.run(&mut SemiStepped::new(script.clone()), duration);
         let mut batched = SecuritySim::new(cfg, engine());
-        let got = batched.run_batched(&mut script.clone(), duration);
+        let got = batched.run_semi_scripted(&mut script.clone(), duration);
         prop_assert_eq!(got, expect);
     }
 
@@ -261,9 +261,9 @@ proptest! {
         };
 
         let mut per_step = SecuritySim::new(cfg, PanopticonEngine::new(pano));
-        let expect = per_step.run(&mut Scripted::new(script.clone()), duration);
+        let expect = per_step.run(&mut SemiStepped::new(script.clone()), duration);
         let mut batched = SecuritySim::new(cfg, PanopticonEngine::new(pano));
-        let got = batched.run_batched(&mut script.clone(), duration);
+        let got = batched.run_semi_scripted(&mut script.clone(), duration);
         prop_assert_eq!(got, expect);
     }
 
@@ -296,9 +296,9 @@ proptest! {
         for spec in moat_trackers::registry::ENGINES {
             for variant in spec.variants {
                 let mut per_step = SecuritySim::new(cfg, (variant.build)());
-                let expect = per_step.run(&mut Scripted::new(script.clone()), duration);
+                let expect = per_step.run(&mut SemiStepped::new(script.clone()), duration);
                 let mut batched = SecuritySim::new(cfg, (variant.build)());
-                let got = batched.run_batched(&mut script.clone(), duration);
+                let got = batched.run_semi_scripted(&mut script.clone(), duration);
                 prop_assert_eq!(got, expect, "{}/{}", spec.name, variant.label);
             }
         }

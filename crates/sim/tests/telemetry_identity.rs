@@ -1,14 +1,12 @@
 //! Telemetry's read-only contract, pinned: arming a [`Tracer`] on any
-//! simulation path — per-step, batched, or semi-scripted, on either
-//! engine family — must not change a single bit of the report the
+//! simulation path — per-step or batched, on either engine family — must not change a single bit of the report the
 //! disarmed path produces, and two armed runs of the same cell must
 //! render the same telemetry artifact byte for byte.
 
 use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::Nanos;
 use moat_sim::{
-    hammer_attacker, NoFaults, NoGuard, PerfConfig, PerfSim, Request, Scripted, SecurityConfig,
-    SecuritySim,
+    hammer_attacker, Hooks, PerfConfig, PerfSim, Request, SecurityConfig, SecuritySim, SemiStepped,
 };
 use moat_telemetry::{TelemetryLevel, TelemetrySink, Tracer};
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
@@ -34,83 +32,54 @@ const DURATION: Nanos = Nanos::from_millis(2);
 #[test]
 fn armed_tracer_never_changes_the_security_report() {
     // Per-step, MOAT and Panopticon.
-    let baseline = moat_sim().run(&mut Scripted::new(hammer_attacker(30_000)), DURATION);
-    let mut tracer = Tracer::full();
-    let traced = moat_sim().run_traced(
-        &mut Scripted::new(hammer_attacker(30_000)),
+    let baseline = moat_sim().run(&mut SemiStepped::new(hammer_attacker(30_000)), DURATION);
+    let mut hooks = Hooks::default().with_tel(Tracer::full());
+    let traced = moat_sim().run_with(
+        &mut SemiStepped::new(hammer_attacker(30_000)),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut tracer,
+        &mut hooks,
     );
     assert_eq!(
         baseline, traced,
         "per-step/moat report changed under tracing"
     );
-    assert!(tracer.boundaries() > 0, "armed tracer saw no boundaries");
-    assert!(tracer.profile().total_ns() > 0, "no time was attributed");
+    assert!(hooks.tel.boundaries() > 0, "armed tracer saw no boundaries");
+    assert!(hooks.tel.profile().total_ns() > 0, "no time was attributed");
 
-    let baseline = pano_sim().run(&mut Scripted::new(hammer_attacker(30_000)), DURATION);
-    let traced = pano_sim().run_traced(
-        &mut Scripted::new(hammer_attacker(30_000)),
+    let baseline = pano_sim().run(&mut SemiStepped::new(hammer_attacker(30_000)), DURATION);
+    let traced = pano_sim().run_with(
+        &mut SemiStepped::new(hammer_attacker(30_000)),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
+        &mut Hooks::default().with_tel(Tracer::full()),
     );
     assert_eq!(
         baseline, traced,
         "per-step/pano report changed under tracing"
     );
 
-    // Batched, both engines.
-    let baseline = moat_sim().run_batched(&mut hammer_attacker(30_000), DURATION);
-    let traced = moat_sim().run_batched_traced(
+    // Batched (scripted attackers ride the blanket semi-scripted impl),
+    // both engines.
+    let baseline = moat_sim().run_semi_scripted(&mut hammer_attacker(30_000), DURATION);
+    let traced = moat_sim().run_semi_scripted_with(
         &mut hammer_attacker(30_000),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
+        &mut Hooks::default().with_tel(Tracer::full()),
     );
     assert_eq!(
         baseline, traced,
         "batched/moat report changed under tracing"
     );
 
-    let baseline = pano_sim().run_batched(&mut hammer_attacker(30_000), DURATION);
-    let traced = pano_sim().run_batched_traced(
+    let baseline = pano_sim().run_semi_scripted(&mut hammer_attacker(30_000), DURATION);
+    let traced = pano_sim().run_semi_scripted_with(
         &mut hammer_attacker(30_000),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
+        &mut Hooks::default().with_tel(Tracer::full()),
     );
     assert_eq!(
         baseline, traced,
         "batched/pano report changed under tracing"
     );
-
-    // Semi-scripted (scripted attackers ride the blanket impl), both
-    // engines.
-    let baseline = moat_sim().run_semi_scripted(&mut hammer_attacker(30_000), DURATION);
-    let traced = moat_sim().run_semi_scripted_traced(
-        &mut hammer_attacker(30_000),
-        DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
-    );
-    assert_eq!(baseline, traced, "semi/moat report changed under tracing");
-
-    let baseline = pano_sim().run_semi_scripted(&mut hammer_attacker(30_000), DURATION);
-    let traced = pano_sim().run_semi_scripted_traced(
-        &mut hammer_attacker(30_000),
-        DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
-    );
-    assert_eq!(baseline, traced, "semi/pano report changed under tracing");
 }
 
 /// The perf simulator: tracing the chunked stream path leaves the
@@ -144,15 +113,9 @@ fn armed_tracer_never_changes_the_perf_report() {
 #[test]
 fn armed_renders_are_bit_identical_across_runs() {
     let trace_once = || {
-        let mut tracer = Tracer::new(TelemetryLevel::Full);
-        moat_sim().run_batched_traced(
-            &mut hammer_attacker(30_000),
-            DURATION,
-            &mut NoFaults,
-            &mut NoGuard,
-            &mut tracer,
-        );
-        tracer
+        let mut hooks = Hooks::default().with_tel(Tracer::new(TelemetryLevel::Full));
+        moat_sim().run_semi_scripted_with(&mut hammer_attacker(30_000), DURATION, &mut hooks);
+        hooks.tel
     };
     let first = trace_once();
     let second = trace_once();

@@ -21,10 +21,6 @@ pub enum SimPhase {
     EngineUpdate,
     /// ALERT episode churn: RFM drains and their tRFC-class stalls.
     EpisodeChurn,
-    /// Pulling and decoding the request stream (chunk refills).
-    StreamDecode,
-    /// Row-hint prefetch issued ahead of the chunk.
-    Prefetch,
     /// Periodic refresh (REF) windows.
     Refresh,
     /// Simulated time with no work attributed (attacker idles, slack).
@@ -33,14 +29,12 @@ pub enum SimPhase {
 
 impl SimPhase {
     /// Number of phases (array-profile width).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 4;
 
     /// Every phase, in fixed render order.
     pub const ALL: [SimPhase; SimPhase::COUNT] = [
         SimPhase::EngineUpdate,
         SimPhase::EpisodeChurn,
-        SimPhase::StreamDecode,
-        SimPhase::Prefetch,
         SimPhase::Refresh,
         SimPhase::Idle,
     ];
@@ -50,10 +44,8 @@ impl SimPhase {
         match self {
             SimPhase::EngineUpdate => 0,
             SimPhase::EpisodeChurn => 1,
-            SimPhase::StreamDecode => 2,
-            SimPhase::Prefetch => 3,
-            SimPhase::Refresh => 4,
-            SimPhase::Idle => 5,
+            SimPhase::Refresh => 2,
+            SimPhase::Idle => 3,
         }
     }
 
@@ -62,8 +54,6 @@ impl SimPhase {
         match self {
             SimPhase::EngineUpdate => "engine-update",
             SimPhase::EpisodeChurn => "episode-churn",
-            SimPhase::StreamDecode => "stream-decode",
-            SimPhase::Prefetch => "prefetch",
             SimPhase::Refresh => "refresh",
             SimPhase::Idle => "idle",
         }
@@ -117,7 +107,7 @@ pub trait TelemetryHook {
 
     /// Simulated time `[start, end)` was spent in `phase`, covering
     /// `units` units of work (ACTs for engine phases, RFMs for episode
-    /// churn, requests for stream decode).
+    /// churn, REFs for refresh).
     fn on_phase(&mut self, _phase: SimPhase, _start: Nanos, _end: Nanos, _units: u64) {}
 }
 

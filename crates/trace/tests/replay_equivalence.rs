@@ -30,7 +30,7 @@ fn record(cache: &TraceCache, profile_idx: usize, cfg: GeneratorConfig) -> Trace
 }
 
 /// Drives a single-bank trace replay as a scripted attack: the rows, in
-/// order, with gaps and banks dropped — the shape `run_batched` accepts.
+/// order, with gaps and banks dropped — the shape the batched security loop accepts.
 #[derive(Debug)]
 struct TraceScript<'a> {
     replay: TraceReplay<'a>,
@@ -181,8 +181,8 @@ proptest! {
             MoatEngine::new(MoatConfig::paper_default()),
         );
         let duration = Nanos::from_millis(millis);
-        let from_map = mk().run_batched(&mut TraceScript::new(&trace), duration);
-        let from_gen = mk().run_batched(
+        let from_map = mk().run_semi_scripted(&mut TraceScript::new(&trace), duration);
+        let from_gen = mk().run_semi_scripted(
             &mut StreamScript {
                 stream: WorkloadStream::new(
                     &PROFILES[profile_idx],
