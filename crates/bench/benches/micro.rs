@@ -10,7 +10,8 @@
 //!    uniform stream, monomorphized (`PerfSim<MoatEngine>`) next to the
 //!    boxed dynamic-dispatch form and the unbatched per-request reference,
 //! 4. `request_gen/*` — `WorkloadStream` generation through the batched
-//!    `next_chunk` front-end versus per-request pulls,
+//!    `next_chunk` front-end versus per-request pulls on `gcc` at 2 banks,
+//!    and `next_chunk` on `cactuBSSN` at 32 banks,
 //! 5. `work_queue/*` — the rayon shim's chunked lock-free queue versus
 //!    the retired per-index-mutex queue, at a pinned worker count,
 //! 6. `security_step/*` — the security simulator's per-step priority
@@ -140,17 +141,31 @@ fn bench_perf_sim(c: &mut Criterion) {
 }
 
 // Hot kernel 4: workload-stream generation — the chunked front-end
-// (`next_chunk` into a reusable buffer) against per-request pulls.
+// (`next_chunk` into a reusable buffer) against per-request pulls on a
+// light 2-bank stream, and the chunked front-end on cactuBSSN at 32
+// banks: the paper-scale frontier, with the most campaigns live at once.
 fn bench_request_gen(c: &mut Criterion) {
-    let profile = WorkloadProfile::by_name("gcc").expect("known profile");
     let dram = DramConfig::paper_baseline();
-    let gen = GeneratorConfig {
-        banks: 2,
-        windows: 1,
-        seed: 7,
+    let stream = |name: &str, banks: u16| {
+        let profile = WorkloadProfile::by_name(name).expect("known profile");
+        let gen = GeneratorConfig {
+            banks,
+            windows: 1,
+            seed: 7,
+        };
+        WorkloadStream::new(profile, &dram, gen)
     };
-    let stream_len = {
-        let mut s = WorkloadStream::new(profile, &dram, gen);
+    let drain_chunks = |mut s: WorkloadStream| {
+        let mut buf = Vec::with_capacity(1024);
+        let mut n = 0u64;
+        while s.next_chunk(&mut buf) > 0 {
+            for r in &buf {
+                n += u64::from(r.row.index() & 1);
+            }
+        }
+        n
+    };
+    let stream_len = |mut s: WorkloadStream| {
         let mut n = 0u64;
         while s.next_request().is_some() {
             n += 1;
@@ -160,11 +175,11 @@ fn bench_request_gen(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("request_gen");
     g.sample_size(20);
-    g.throughput(Throughput::Elements(stream_len));
+    g.throughput(Throughput::Elements(stream_len(stream("gcc", 2))));
 
     g.bench_function("next_request", |b| {
         b.iter(|| {
-            let mut s = WorkloadStream::new(profile, &dram, gen);
+            let mut s = stream("gcc", 2);
             let mut n = 0u64;
             while let Some(r) = s.next_request() {
                 n += u64::from(r.row.index() & 1);
@@ -174,17 +189,13 @@ fn bench_request_gen(c: &mut Criterion) {
     });
 
     g.bench_function("next_chunk", |b| {
-        b.iter(|| {
-            let mut s = WorkloadStream::new(profile, &dram, gen);
-            let mut buf = Vec::with_capacity(1024);
-            let mut n = 0u64;
-            while s.next_chunk(&mut buf) > 0 {
-                for r in &buf {
-                    n += u64::from(r.row.index() & 1);
-                }
-            }
-            black_box(n)
-        });
+        b.iter(|| black_box(drain_chunks(stream("gcc", 2))));
+    });
+
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(stream_len(stream("cactuBSSN", 32))));
+    g.bench_function("next_chunk_cactuBSSN_32bank", |b| {
+        b.iter(|| black_box(drain_chunks(stream("cactuBSSN", 32))));
     });
     g.finish();
 }

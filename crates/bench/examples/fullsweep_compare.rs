@@ -29,7 +29,7 @@ fn main() {
         .collect();
 
     // Live generation per cell: the pre-trace behaviour at --full, where
-    // every cell re-runs the heap-merge generator.
+    // every cell re-runs the workload generator.
     let mut live = PerfLab::new(Scale::full());
     live.set_stream_cache_budget(1);
     live.set_trace_cache_enabled(false);

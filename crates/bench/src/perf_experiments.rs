@@ -56,10 +56,9 @@ enum CachedStream {
 /// ALERT-free baseline completion times, and the *materialized request
 /// streams* themselves, so every sweep cell replays flat requests —
 /// from memory within the request budget, from the mmap-backed
-/// [`TraceCache`] beyond it — instead of re-running the heap-merge
-/// generator (which otherwise dominates a cell's wall time). Once
-/// [`Self::precompute_baselines`] has run, the lab can be shared
-/// immutably across worker threads.
+/// [`TraceCache`] beyond it — instead of re-running the workload
+/// generator in every cell. Once [`Self::precompute_baselines`] has run,
+/// the lab can be shared immutably across worker threads.
 #[derive(Debug)]
 pub struct PerfLab {
     scale: Scale,
