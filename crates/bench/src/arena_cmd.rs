@@ -16,25 +16,31 @@
 //! and across a run split by `--resume` (CI diffs exactly that).
 //! Wall-clock chatter (replay counts, throughput) goes to stderr.
 //!
+//! Cells run through the one supervised cell runner,
+//! [`moat_fleet::run_supervised`], under [`RetryPolicy::sweep_default`]:
+//! a crashing cell retries once after a 50 ms backoff and then renders
+//! as a `FAILED` row without stopping its siblings.
+//!
 //! `--resume` replays completed cells from
 //! `.repro-checkpoint/arena-<key>/`, where the key fingerprints the
 //! engine selection and the cell grid — a resume can never mix cells
 //! from a different selection. A fresh run discards the store first.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
 
 use moat_attacks::{JailbreakAttacker, RatchetAttacker};
 use moat_dram::{MitigationEngine, Nanos, NullEngine};
+use moat_fleet::{run_supervised, CellOutcome, Replay, RetryPolicy};
 use moat_sim::{
     hammer_attacker, round_robin_attacker, PerfConfig, PerfSim, SecurityConfig, SecurityReport,
     SecuritySim, SlotBudget,
 };
-use moat_telemetry::{log, MetricsRegistry, TelemetryLevel};
+use moat_telemetry::kv::Record;
+use moat_telemetry::{MetricsRegistry, TelemetryLevel};
 use moat_trackers::registry::{self, EngineSpec, EngineVariant};
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{fnv, Checkpoint};
 use crate::perfbench::uniform_stream;
 use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
 
@@ -107,25 +113,20 @@ impl CellResult {
     }
 
     fn parse(record: &str) -> Option<CellResult> {
-        let mut fields = record.split_whitespace();
-        let kind = fields.next()?;
-        let mut value = |key: &str, radix: u32| -> Option<u64> {
-            let field = fields.next()?;
-            let rest = field.strip_prefix(key)?.strip_prefix('=')?;
-            u64::from_str_radix(rest, radix).ok()
-        };
+        let (kind, fields) = record.split_once(' ')?;
+        let r = Record::parse(fields)?;
         match kind {
             "sec" => Some(CellResult::Security {
-                acts: value("acts", 10)?,
-                escaped: u32::try_from(value("escaped", 10)?).ok()?,
-                epoch: u32::try_from(value("epoch", 10)?).ok()?,
-                alerts: value("alerts", 10)?,
-                rfms: value("rfms", 10)?,
+                acts: r.get("acts")?,
+                escaped: r.get("escaped")?,
+                epoch: r.get("epoch")?,
+                alerts: r.get("alerts")?,
+                rfms: r.get("rfms")?,
             }),
             "perf" => Some(CellResult::Perf {
-                slowdown_bits: value("slowdown", 16)?,
-                alerts: value("alerts", 10)?,
-                acts: value("acts", 10)?,
+                slowdown_bits: r.hex("slowdown")?,
+                alerts: r.get("alerts")?,
+                acts: r.get("acts")?,
             }),
             _ => None,
         }
@@ -139,15 +140,11 @@ impl CellResult {
     }
 }
 
-/// How a cell's result was obtained (stderr accounting only — the
-/// stdout artifact never mentions replay, so a resumed run renders
-/// byte-identically to a fresh one).
-#[derive(Debug)]
-enum CellOutcome {
-    Ran(CellResult),
-    Replayed(CellResult),
-    Failed { message: String },
-}
+/// A supervised cell: its result, or the panic message of its last
+/// attempt. Replays show only in stderr accounting — the stdout
+/// artifact never mentions them, so a resumed run renders
+/// byte-identically to a fresh one.
+type ArenaOutcome = CellOutcome<CellResult, String>;
 
 fn security_report(cell: &ArenaCell) -> SecurityReport {
     let config = SecurityConfig::paper_default();
@@ -202,45 +199,6 @@ fn run_cell(cell: &ArenaCell) -> CellResult {
             rfms: r.rfms,
         }
     }
-}
-
-/// Replays `cell` from the store when possible, otherwise runs it live
-/// (crash-isolated, one retry) and records the result.
-fn supervise_cell(cell: &ArenaCell, store: Option<&Checkpoint>, resume: bool) -> CellOutcome {
-    let name = cell.name();
-    if resume {
-        // A corrupt record falls through to a live re-run.
-        if let Some(result) = store
-            .and_then(|s| s.lookup(&name))
-            .and_then(|r| CellResult::parse(&r))
-        {
-            return CellOutcome::Replayed(result);
-        }
-    }
-    let mut last = String::new();
-    for _attempt in 0..2 {
-        match catch_unwind(AssertUnwindSafe(|| run_cell(cell))) {
-            Ok(result) => {
-                if let Some(store) = store {
-                    if let Err(e) = store.record(&name, &result.to_record()) {
-                        log::warn(
-                            "arena",
-                            format_args!("could not checkpoint cell {name}: {e}"),
-                        );
-                    }
-                }
-                return CellOutcome::Ran(result);
-            }
-            Err(payload) => {
-                last = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic".to_string());
-            }
-        }
-    }
-    CellOutcome::Failed { message: last }
 }
 
 /// The parsed `repro arena` invocation.
@@ -322,16 +280,10 @@ fn grid(selection: &[&'static EngineSpec]) -> Vec<ArenaCell> {
     cells
 }
 
-/// FNV-1a over the grid's cell names, for the checkpoint key.
+/// FNV-1a over the grid's newline-terminated cell names, for the
+/// checkpoint key.
 fn grid_fingerprint(cells: &[ArenaCell]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for cell in cells {
-        for b in cell.name().bytes().chain([b'\n']) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    fnv(&cells.iter().map(|c| c.name() + "\n").collect::<String>())
 }
 
 /// ALERTs per million ACTs, rendered from the integer pair (so a
@@ -344,16 +296,16 @@ fn alert_rate(alerts: u64, acts: u64) -> String {
 }
 
 /// Renders the arena table from the outcomes, in grid order.
-fn render(cells: &[ArenaCell], outcomes: &[CellOutcome], reg: &mut MetricsRegistry) -> String {
+fn render(cells: &[ArenaCell], outcomes: &[ArenaOutcome], reg: &mut MetricsRegistry) -> String {
     let mut out = format!(
         "Cross-mitigation arena: engine x config x attack ({} ms virtual time per security cell, \
          {PERF_REQUESTS} requests per perf cell)\n",
         CELL_DURATION.as_u64() / 1_000_000,
     );
     for (cell, outcome) in cells.iter().zip(outcomes) {
-        let result = match outcome {
-            CellOutcome::Ran(r) | CellOutcome::Replayed(r) => *r,
-            CellOutcome::Failed { message } => {
+        let result = match &outcome.result {
+            Ok(r) => *r,
+            Err(message) => {
                 out.push_str(&format!(
                     "  {}/{} {}: FAILED: {message}\n",
                     cell.spec.name, cell.variant.label, cell.attack
@@ -414,26 +366,37 @@ fn render(cells: &[ArenaCell], outcomes: &[CellOutcome], reg: &mut MetricsRegist
     out
 }
 
+/// Runs `cells` through the supervised runner, replaying from and
+/// recording into `store` when one is given.
+fn run_grid(cells: &[ArenaCell], threads: usize, store: Option<&Checkpoint>) -> Vec<ArenaOutcome> {
+    let replay = store.map(|store| Replay {
+        store,
+        name: ArenaCell::name,
+        decode: |_: &ArenaCell, record: &str| CellResult::parse(record),
+        encode: |result: &CellResult| result.to_record(),
+    });
+    run_supervised(
+        cells.to_vec(),
+        threads,
+        RetryPolicy::sweep_default(),
+        replay.as_ref(),
+        |cell, _attempt| Ok::<_, String>(run_cell(cell)),
+    )
+}
+
 /// Runs the arena over `selection` with an explicit worker count and
-/// optional checkpoint store. Returns the rendered table and the
-/// telemetry registry; the table (and registry) are bit-identical for
-/// any `threads` and any resume split of the same selection.
+/// optional checkpoint store. Returns the rendered table, the
+/// telemetry registry and the replayed-cell count; the table (and
+/// registry) are bit-identical for any `threads` and any resume split
+/// of the same selection.
 fn run_arena(
     selection: &[&'static EngineSpec],
     threads: usize,
     store: Option<&Checkpoint>,
-    resume: bool,
 ) -> (String, MetricsRegistry, usize) {
     let cells = grid(selection);
-    let outcomes = rayon::queue::chunked_map(
-        cells.clone(),
-        |cell| supervise_cell(&cell, store, resume),
-        threads,
-    );
-    let replayed = outcomes
-        .iter()
-        .filter(|o| matches!(o, CellOutcome::Replayed(_)))
-        .count();
+    let outcomes = run_grid(&cells, threads, store);
+    let replayed = outcomes.iter().filter(|o| o.replayed).count();
     let mut reg = MetricsRegistry::new();
     reg.add("arena.cells.total", cells.len() as u64);
     reg.add("arena.cells.replayed", replayed as u64);
@@ -446,17 +409,10 @@ fn run_arena(
 /// arena throughput probe (`arena_acts_per_sec` in `BENCH_perf.json`).
 pub(crate) fn bench_cells(selection: &[&'static EngineSpec], threads: usize) -> (u64, usize) {
     let cells = grid(selection);
-    let outcomes = rayon::queue::chunked_map(
-        cells.clone(),
-        |cell| supervise_cell(&cell, None, false),
-        threads,
-    );
-    let acts = outcomes
+    let acts = run_grid(&cells, threads, None)
         .iter()
-        .map(|o| match o {
-            CellOutcome::Ran(r) | CellOutcome::Replayed(r) => r.acts(),
-            CellOutcome::Failed { .. } => 0,
-        })
+        .filter_map(|o| o.result.as_ref().ok())
+        .map(|r| r.acts())
         .sum();
     (acts, cells.len())
 }
@@ -475,30 +431,10 @@ pub fn run_arena_command(args: &[String]) -> Result<String, String> {
 
     let cells = grid(&parsed.selection);
     let key = format!("arena-{:016x}", grid_fingerprint(&cells));
-    let root = Path::new(".");
-    let open = if parsed.resume {
-        Checkpoint::open_named(root, &key)
-    } else {
-        Checkpoint::open_named_fresh(root, &key)
-    };
-    let store = match open {
-        Ok(cp) => Some(cp),
-        Err(e) => {
-            log::warn(
-                "arena",
-                format_args!("arena checkpoint store unavailable ({e}); running without resume"),
-            );
-            None
-        }
-    };
+    let store = Checkpoint::open_run(Path::new("."), &key, parsed.resume);
 
     let started = Instant::now();
-    let (table, reg, replayed) = run_arena(
-        &parsed.selection,
-        parsed.threads,
-        store.as_ref(),
-        parsed.resume,
-    );
+    let (table, reg, replayed) = run_arena(&parsed.selection, parsed.threads, store.as_ref());
     eprintln!(
         "arena: {} cells ({} engines) on {} threads, {replayed} replayed, {:.2}s wall",
         cells.len(),
@@ -603,8 +539,8 @@ mod tests {
         // The acceptance invariant: the new engines' tables must not
         // depend on worker scheduling.
         let sel = subset("abacus,comet,dsac,cnc-prac");
-        let (one, _, _) = run_arena(&sel, 1, None, false);
-        let (many, _, _) = run_arena(&sel, 4, None, false);
+        let (one, _, _) = run_arena(&sel, 1, None);
+        let (many, _, _) = run_arena(&sel, 4, None);
         assert_eq!(one, many);
         for spec in &sel {
             assert!(one.contains(spec.name), "missing engine {}", spec.name);
@@ -621,7 +557,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("moat-arena-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let store = Checkpoint::open_named(&root, "arena-split").unwrap();
-        let (fresh, _, _) = run_arena(&sel, 2, Some(&store), false);
+        let (fresh, _, _) = run_arena(&sel, 2, Some(&store));
 
         // Simulate an interrupted run: drop half the recorded cells,
         // then resume. The table must come out byte-identical, with the
@@ -636,7 +572,7 @@ mod tests {
             )
             .unwrap();
         }
-        let (resumed, _, replayed) = run_arena(&sel, 2, Some(&store), true);
+        let (resumed, _, replayed) = run_arena(&sel, 2, Some(&store));
         assert_eq!(fresh, resumed, "resume split must not change the artifact");
         assert_eq!(replayed, completed.len() - completed.len().div_ceil(2));
         let _ = std::fs::remove_dir_all(&root);
@@ -645,7 +581,7 @@ mod tests {
     #[test]
     fn moat_keeps_hammer_bounded_in_the_arena() {
         let sel = subset("moat");
-        let (table, _, _) = run_arena(&sel, 1, None, false);
+        let (table, _, _) = run_arena(&sel, 1, None);
         let hammer = table
             .lines()
             .skip_while(|l| !l.starts_with("== moat/ath64"))

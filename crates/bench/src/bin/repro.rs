@@ -256,22 +256,7 @@ fn main() {
     // broken checkpoint store is never fatal: the run degrades to
     // executing everything live.
     let checkpoint = if all_mode {
-        let root = std::path::Path::new(".");
-        let open = if resume {
-            Checkpoint::open(root, scale)
-        } else {
-            Checkpoint::open_fresh(root, scale)
-        };
-        match open {
-            Ok(cp) => Some(cp),
-            Err(e) => {
-                log::warn(
-                    "repro",
-                    format_args!("checkpoint store unavailable ({e}); running without resume"),
-                );
-                None
-            }
-        }
+        Checkpoint::open_run(std::path::Path::new("."), &scale.key(), resume)
     } else {
         None
     };

@@ -16,55 +16,45 @@
 //! replay as truth. Checkpoint I/O failures are deliberately
 //! non-fatal: the run degrades to executing the experiment live, which
 //! is always correct, just slower.
+//!
+//! The arena and the fleet replay their cells from the same store: it is
+//! the [`ShardStore`] of the supervised cell runner.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::scale::Scale;
+use moat_fleet::ShardStore;
+use moat_telemetry::log;
 
 /// Directory (relative to the working directory) holding checkpoints.
 pub const CHECKPOINT_DIR: &str = ".repro-checkpoint";
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The per-scale subdirectory key (`"2b-1w"`).
-fn scale_key(scale: Scale) -> String {
-    format!("{}b-{}w", scale.banks, scale.windows)
+/// FNV-1a over a string: the fingerprint in the arena and fleet store
+/// keys.
+pub(crate) fn fnv(s: &str) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
 }
 
-/// A per-scale store of completed experiment outputs.
+/// A keyed store of completed outputs.
 ///
-/// Outputs recorded at one scale are never replayed at another: each
-/// [`Scale`] gets its own subdirectory, keyed by its bank/window
-/// geometry.
+/// `repro all` keys its store by [`Scale::key`](crate::Scale::key), so
+/// outputs recorded at one scale are never replayed at another; the
+/// arena and the fleet key theirs by a fingerprint of the whole run.
 #[derive(Debug)]
 pub struct Checkpoint {
     dir: PathBuf,
 }
 
 impl Checkpoint {
-    /// Opens the checkpoint store for `scale` under `root`, creating it
-    /// if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn open(root: &Path, scale: Scale) -> io::Result<Checkpoint> {
-        Self::open_named(root, &scale_key(scale))
-    }
-
-    /// Opens the store for `scale` after discarding any prior
-    /// checkpoints at that scale (a fresh, non-`--resume` run).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory removal/creation failures.
-    pub fn open_fresh(root: &Path, scale: Scale) -> io::Result<Checkpoint> {
-        Self::open_named_fresh(root, &scale_key(scale))
-    }
-
     /// Opens the checkpoint store keyed by an arbitrary `key` (the fleet
     /// runner keys stores by its full topology + seed + fault-plan
     /// fingerprint, so a resume can never replay shards from a
@@ -94,6 +84,24 @@ impl Checkpoint {
         }
         fs::create_dir_all(&dir)?;
         Ok(Checkpoint { dir })
+    }
+
+    /// Opens the store under `key` for one run: kept for a `resume`,
+    /// emptied otherwise. A store that cannot be opened is logged and
+    /// the run goes on without one (every cell runs live).
+    pub fn open_run(root: &Path, key: &str, resume: bool) -> Option<Checkpoint> {
+        let open = if resume {
+            Self::open_named(root, key)
+        } else {
+            Self::open_named_fresh(root, key)
+        };
+        open.map_err(|e| {
+            log::warn(
+                "checkpoint",
+                format_args!("store {key} unavailable ({e}); running without resume"),
+            );
+        })
+        .ok()
     }
 
     fn entry_path(&self, name: &str) -> PathBuf {
@@ -149,9 +157,28 @@ impl Checkpoint {
     }
 }
 
+/// The supervised runner's view of the store. A failed write is logged
+/// and the run carries on live — the same degradation discipline as
+/// `repro all`.
+impl ShardStore for Checkpoint {
+    fn lookup(&self, name: &str) -> Option<String> {
+        Checkpoint::lookup(self, name)
+    }
+
+    fn record(&self, name: &str, record: &str) {
+        if let Err(e) = Checkpoint::record(self, name, record) {
+            log::warn(
+                "checkpoint",
+                format_args!("could not checkpoint {name}: {e}"),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =
@@ -163,7 +190,7 @@ mod tests {
     #[test]
     fn record_then_lookup_roundtrips() {
         let root = temp_root("roundtrip");
-        let cp = Checkpoint::open(&root, Scale::scaled()).unwrap();
+        let cp = Checkpoint::open_named(&root, &Scale::scaled().key()).unwrap();
         assert_eq!(cp.lookup("table2"), None);
         cp.record("table2", "Table 2 output\n").unwrap();
         assert_eq!(cp.lookup("table2").as_deref(), Some("Table 2 output\n"));
@@ -174,7 +201,7 @@ mod tests {
     #[test]
     fn publish_is_atomic_no_tmp_left_behind() {
         let root = temp_root("atomic");
-        let cp = Checkpoint::open(&root, Scale::scaled()).unwrap();
+        let cp = Checkpoint::open_named(&root, &Scale::scaled().key()).unwrap();
         cp.record("fig13", "x\n").unwrap();
         let leftovers: Vec<_> = fs::read_dir(&cp.dir)
             .unwrap()
@@ -188,9 +215,9 @@ mod tests {
     #[test]
     fn fresh_open_discards_prior_entries() {
         let root = temp_root("fresh");
-        let cp = Checkpoint::open(&root, Scale::scaled()).unwrap();
+        let cp = Checkpoint::open_named(&root, &Scale::scaled().key()).unwrap();
         cp.record("storage", "old\n").unwrap();
-        let cp = Checkpoint::open_fresh(&root, Scale::scaled()).unwrap();
+        let cp = Checkpoint::open_named_fresh(&root, &Scale::scaled().key()).unwrap();
         assert_eq!(cp.lookup("storage"), None);
         assert!(cp.completed().is_empty());
         fs::remove_dir_all(&root).unwrap();
@@ -201,7 +228,7 @@ mod tests {
         let root = temp_root("named");
         let named = Checkpoint::open_named(&root, "fleet-8s-24t").unwrap();
         named.record("shard-0", "record\n").unwrap();
-        let scaled = Checkpoint::open(&root, Scale::scaled()).unwrap();
+        let scaled = Checkpoint::open_named(&root, &Scale::scaled().key()).unwrap();
         assert_eq!(scaled.lookup("shard-0"), None, "keys must not collide");
         assert_eq!(named.lookup("shard-0").as_deref(), Some("record\n"));
         let named = Checkpoint::open_named_fresh(&root, "fleet-8s-24t").unwrap();
@@ -212,9 +239,9 @@ mod tests {
     #[test]
     fn scales_are_isolated() {
         let root = temp_root("scales");
-        let scaled = Checkpoint::open(&root, Scale::scaled()).unwrap();
+        let scaled = Checkpoint::open_named(&root, &Scale::scaled().key()).unwrap();
         scaled.record("table2", "small\n").unwrap();
-        let full = Checkpoint::open(&root, Scale::full()).unwrap();
+        let full = Checkpoint::open_named(&root, &Scale::full().key()).unwrap();
         assert_eq!(full.lookup("table2"), None, "scales must not share entries");
         assert_eq!(scaled.lookup("table2").as_deref(), Some("small\n"));
         fs::remove_dir_all(&root).unwrap();

@@ -24,7 +24,7 @@ use moat_trackers::registry;
 
 use moat_telemetry::{MetricsRegistry, TelemetryLevel};
 
-use crate::sweep::{cell_metrics, try_run_cells, CellOutcome};
+use crate::sweep::{cell_metrics, try_run_cells};
 use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
 
 /// Virtual time each cell simulates (per-boundary fault rates make the
@@ -137,9 +137,9 @@ pub fn faults_sweep_traced(base: FaultPlan) -> (String, MetricsRegistry) {
          engine      | attack      | seu   | acts   | maxP | flips | stuck | unsound | escaped | first-unsound\n",
         CELL_DURATION.as_u64() / 1_000_000,
     );
-    for (cell, (outcome, _wall)) in cells.iter().zip(&outcomes) {
-        match outcome {
-            CellOutcome::Ok { result, .. } => {
+    for (cell, outcome) in cells.iter().zip(&outcomes) {
+        match &outcome.result {
+            Ok(result) => {
                 let (max_pressure, total_acts, stats) = result;
                 let first = match stats.first_unsound {
                     Some(f) => format!("@{}ns {}/{}", f.at.as_u64(), f.done, f.promised),
@@ -165,10 +165,13 @@ pub fn faults_sweep_traced(base: FaultPlan) -> (String, MetricsRegistry) {
                 reg.add(&format!("{key}.escaped_acts"), stats.escaped_acts);
                 reg.gauge_max(&format!("{key}.max_pressure"), u64::from(*max_pressure));
             }
-            CellOutcome::Failed { attempts, message } => {
+            Err(message) => {
                 out.push_str(&format!(
                     "  {:<10} | {:<11} | {:<5} | FAILED after {attempts} attempts: {message}\n",
-                    cell.engine, cell.attack, cell.rate_label,
+                    cell.engine,
+                    cell.attack,
+                    cell.rate_label,
+                    attempts = outcome.attempts,
                 ));
             }
         }
@@ -190,9 +193,7 @@ pub fn run_faults_command(args: &[String]) -> Result<String, String> {
     let (rest, telemetry_flag) = take_telemetry_flag(args);
     match rest.first().map(String::as_str) {
         Some("sweep") => {
-            let base = FaultPlan::from_env()
-                .map_err(|e| format!("invalid {}: {e}", FaultPlan::ENV_VAR))?
-                .unwrap_or_else(|| FaultPlan::none(0xFA17));
+            let base = FaultPlan::from_env()?.unwrap_or_else(|| FaultPlan::none(0xFA17));
             let tel = effective_config(telemetry_flag)?;
             if tel.level == TelemetryLevel::Off {
                 Ok(faults_sweep(base))

@@ -22,10 +22,10 @@ use std::path::Path;
 
 use moat_fleet::{FleetConfig, FleetFaultPlan, FleetSupervisor, FleetTopology, ShardStore};
 use moat_guard::RecoveryPlan;
-use moat_telemetry::{log, TelemetryLevel};
+use moat_telemetry::TelemetryLevel;
 use moat_trackers::registry;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{fnv, Checkpoint};
 use crate::telemetry_cli::{effective_config, take_telemetry_flag};
 
 /// Default shard count (the acceptance-scale topology).
@@ -36,17 +36,6 @@ const DEFAULT_TENANTS: u32 = 1024;
 const DEFAULT_ACTS_PER_TENANT: u32 = 512;
 /// Default master seed.
 const DEFAULT_SEED: u64 = 0xF1EE7;
-
-/// FNV-1a over a string, for the checkpoint key's fault-plan
-/// fingerprint.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// The parsed `repro fleet` invocation.
 #[derive(Debug, Clone)]
@@ -125,25 +114,6 @@ fn parse_args(args: &[String]) -> Result<FleetArgs, String> {
     Ok(parsed)
 }
 
-/// A [`ShardStore`] over the on-disk [`Checkpoint`], with the same
-/// non-fatal degradation discipline as `repro all`: a broken store
-/// means live re-runs, never a failed run.
-struct FleetCheckpoint(Checkpoint);
-
-impl ShardStore for FleetCheckpoint {
-    fn lookup(&self, shard: u32) -> Option<String> {
-        self.0.lookup(&format!("shard-{shard:05}"))
-    }
-    fn record(&self, shard: u32, record: &str) {
-        if let Err(e) = self.0.record(&format!("shard-{shard:05}"), record) {
-            log::warn(
-                "fleet",
-                format_args!("could not checkpoint shard {shard}: {e}"),
-            );
-        }
-    }
-}
-
 /// Runs `repro fleet` and returns the deterministic report for stdout.
 /// Wall-clock throughput is printed to stderr here, keeping the
 /// returned artifact machine-independent.
@@ -198,22 +168,7 @@ pub fn run_fleet_command(args: &[String]) -> Result<String, String> {
             format!("-e{:08x}", fnv(&config.engines.join("+")) as u32)
         },
     );
-    let root = Path::new(".");
-    let open = if parsed.resume {
-        Checkpoint::open_named(root, &key)
-    } else {
-        Checkpoint::open_named_fresh(root, &key)
-    };
-    let store = match open {
-        Ok(cp) => Some(FleetCheckpoint(cp)),
-        Err(e) => {
-            log::warn(
-                "fleet",
-                format_args!("fleet checkpoint store unavailable ({e}); running without resume"),
-            );
-            None
-        }
-    };
+    let store = Checkpoint::open_run(Path::new("."), &key, parsed.resume);
 
     let supervisor = FleetSupervisor::new(config);
     let order: Vec<u32> = (0..topology.shards()).collect();

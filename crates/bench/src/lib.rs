@@ -39,8 +39,7 @@ pub use security_experiments::{
     fig10_fig15, fig16, fig5, fig7, fig8, moat_bound_check, run_security, table2,
 };
 pub use sweep::{
-    cell_metrics, run_cells, run_sweep, try_run_cells, try_run_cells_with_policy, CellOutcome,
-    SweepCell, SweepOutcome, SweepStats,
+    cell_metrics, run_cells, run_sweep, try_run_cells, SweepCell, SweepOutcome, SweepStats,
 };
 pub use telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
 pub use trace_cmd::run_trace_command;

@@ -28,7 +28,7 @@ use moat_trackers::registry;
 use moat_fleet::Incident;
 use moat_telemetry::{MetricsRegistry, TelemetryLevel};
 
-use crate::sweep::{cell_metrics, try_run_cells, CellOutcome};
+use crate::sweep::{cell_metrics, try_run_cells};
 use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
 
 /// Virtual time each cell simulates — matched to `repro faults sweep`
@@ -177,9 +177,9 @@ pub fn recover_sweep_traced(base: FaultPlan, full: RecoveryPlan) -> (String, Met
          engine      | attack      | seu   | guard      | acts   | unsound | escaped | det   | rep   | fb    | scrubs | resync-ns\n",
         CELL_DURATION.as_u64() / 1_000_000,
     );
-    for (index, (cell, (outcome, _wall))) in cells.iter().zip(&outcomes).enumerate() {
-        match outcome {
-            CellOutcome::Ok { result, .. } => {
+    for (index, (cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
+        match &outcome.result {
+            Ok(result) => {
                 let (total_acts, stats, recovery) = result;
                 if let Some(r) = recovery {
                     let key = format!(
@@ -237,10 +237,11 @@ pub fn recover_sweep_traced(base: FaultPlan, full: RecoveryPlan) -> (String, Met
                     scrubs,
                 ));
             }
-            CellOutcome::Failed { attempts, message } => {
+            Err(message) => {
                 out.push_str(&format!(
                     "  {:<10} | {:<11} | {:<5} | {:<10} | FAILED after {attempts} attempts: {message}\n",
                     cell.engine, cell.attack, cell.rate_label, cell.guard_label,
+                    attempts = outcome.attempts,
                 ));
             }
         }
@@ -271,12 +272,8 @@ pub fn run_recover_command(args: &[String]) -> Result<String, String> {
     let (rest, telemetry_flag) = take_telemetry_flag(args);
     match rest.first().map(String::as_str) {
         Some("sweep") => {
-            let base = FaultPlan::from_env()
-                .map_err(|e| format!("invalid {}: {e}", FaultPlan::ENV_VAR))?
-                .unwrap_or_else(|| FaultPlan::none(0xFA17));
-            let full = RecoveryPlan::from_env()
-                .map_err(|e| format!("invalid {}: {e}", RecoveryPlan::ENV_VAR))?
-                .unwrap_or_else(RecoveryPlan::full);
+            let base = FaultPlan::from_env()?.unwrap_or_else(|| FaultPlan::none(0xFA17));
+            let full = RecoveryPlan::from_env()?.unwrap_or_else(RecoveryPlan::full);
             let tel = effective_config(telemetry_flag)?;
             if tel.level == TelemetryLevel::Off {
                 Ok(recover_sweep(base, full))

@@ -1,5 +1,6 @@
 //! Experiment scale: how much of the paper-size configuration to run.
 
+use moat_telemetry::kv;
 use moat_workloads::GeneratorConfig;
 
 /// How large to run the performance experiments.
@@ -34,13 +35,26 @@ impl Scale {
         }
     }
 
-    /// Reads `MOAT_REPRO_FULL=1` from the environment.
+    /// Reads `MOAT_REPRO_FULL`: `1` selects [`full`](Self::full); unset,
+    /// empty or `0` selects [`scaled`](Self::scaled). Any other value
+    /// panics naming the variable, so `MOAT_REPRO_FULL=true` never
+    /// silently benchmarks the small configuration.
     pub fn from_env() -> Self {
-        if std::env::var("MOAT_REPRO_FULL").is_ok_and(|v| v == "1") {
-            Self::full()
-        } else {
-            Self::scaled()
-        }
+        kv::from_env("MOAT_REPRO_FULL", Self::parse_full)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or_else(Self::scaled)
+    }
+
+    /// The scale a `MOAT_REPRO_FULL` value selects.
+    fn parse_full(value: &str) -> Result<Scale, String> {
+        let scales = [("0", Self::scaled()), ("1", Self::full())];
+        kv::choice("full-scale switch", value.trim(), &scales)
+    }
+
+    /// The checkpoint-store key of this scale (`"2b-1w"`), so outputs
+    /// recorded at one scale never replay at another.
+    pub fn key(&self) -> String {
+        format!("{}b-{}w", self.banks, self.windows)
     }
 
     /// The matching workload-generator configuration.
@@ -68,5 +82,18 @@ mod tests {
         assert!(Scale::full().banks > Scale::scaled().banks);
         let g = Scale::scaled().generator(1);
         assert_eq!(g.banks, 2);
+    }
+
+    #[test]
+    fn full_switch_accepts_only_zero_and_one() {
+        assert_eq!(Scale::parse_full("1").unwrap().banks, Scale::full().banks);
+        assert_eq!(
+            Scale::parse_full(" 0 ").unwrap().banks,
+            Scale::scaled().banks
+        );
+        for bad in ["true", "yes", "2", "full"] {
+            let e = Scale::parse_full(bad).unwrap_err();
+            assert!(e.contains(bad), "{bad:?} -> {e}");
+        }
     }
 }

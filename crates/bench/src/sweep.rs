@@ -11,15 +11,18 @@
 //! profile). Results come back **in input order** regardless of
 //! scheduling, and each cell is seeded identically to a serial run, so
 //! every parallel sweep is bit-for-bit reproducible.
+//!
+//! [`try_run_cells`] and [`run_cells`] are thin callers of the one
+//! supervised cell runner, [`moat_fleet::run_supervised`], the same
+//! runner the arena and the fleet use: crash isolation and retry live
+//! there, not here.
 
-use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 use moat_core::MoatConfig;
-use moat_fleet::RetryPolicy;
+use moat_fleet::{run_supervised, CellOutcome, RetryPolicy};
 use moat_sim::{PerfReport, SlotBudget};
 use moat_workloads::WorkloadProfile;
-use rayon::prelude::*;
 
 use crate::perf_experiments::PerfLab;
 
@@ -85,127 +88,58 @@ impl SweepStats {
     }
 }
 
-/// The crash-isolated outcome of one sweep cell.
-///
-/// Produced by [`try_run_cells`]: a cell whose `run` closure panics is
-/// caught and retried under the harness's [`RetryPolicy`]
-/// (deterministic exponential backoff — a transient cause gets a moment
-/// to clear); a cell that panics on every attempt is reported here as
-/// [`CellOutcome::Failed`] instead of tearing down the sibling workers.
-/// Outcomes come back in input order like every other sweep result.
-#[derive(Debug, Clone)]
-pub enum CellOutcome<R> {
-    /// The cell completed (possibly only on a retry).
-    Ok {
-        /// The attempt that succeeded (1 = the initial run).
-        attempts: u32,
-        /// The cell's result.
-        result: R,
-    },
-    /// The cell panicked on every attempt.
-    Failed {
-        /// Attempts made (the policy's `max_attempts`).
-        attempts: u32,
-        /// The panic payload, stringified when possible.
-        message: String,
-    },
-}
-
-impl<R> CellOutcome<R> {
-    /// The result, if the cell completed.
-    pub fn ok(self) -> Option<R> {
-        match self {
-            CellOutcome::Ok { result, .. } => Some(result),
-            CellOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// Whether the cell failed both attempts.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, CellOutcome::Failed { .. })
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs independent experiment cells in parallel with crash isolation,
 /// returning per-cell outcomes in input order plus aggregate timing.
 ///
-/// Each cell's `run` call executes under [`std::panic::catch_unwind`],
-/// so a panicking cell never kills its sibling workers or loses their
-/// results. A crashed cell retries under [`RetryPolicy::sweep_default`]
-/// — one retry after a deterministic 50 ms backoff (a transient cause,
-/// an evicted cache file or briefly exhausted resource, often clears);
-/// a cell that panics on every attempt is marked
-/// [`CellOutcome::Failed`] with the panic message. Failed cells
-/// contribute their wall time to [`SweepStats::cell_seconds`] but no
-/// activations to `total_acts`.
+/// Cells run through [`run_supervised`] under
+/// [`RetryPolicy::sweep_default`]: a panicking cell never kills its
+/// sibling workers or loses their results, and retries once after a
+/// deterministic 50 ms backoff (a transient cause, an evicted cache
+/// file or briefly exhausted resource, often clears). A cell that
+/// panics on every attempt reports the panic message as its `Err`.
+/// Failed cells contribute their wall time to
+/// [`SweepStats::cell_seconds`] but no activations to `total_acts`.
 ///
-/// `run` must be a pure function of the cell (each cell seeds its own
-/// simulators), which keeps the parallel run bit-identical to a serial
-/// loop over `cells` in order — including the retry, which re-runs the
-/// same pure computation. Results are collected through the chunked
-/// lock-free queue of the [`rayon`] shim, so ordering is deterministic
-/// regardless of scheduling.
-pub fn try_run_cells<C, R, F>(cells: Vec<C>, run: F) -> (Vec<(CellOutcome<R>, f64)>, SweepStats)
-where
-    C: Send + Clone,
-    R: Send,
-    F: Fn(C) -> (R, u64) + Sync,
-{
-    try_run_cells_with_policy(cells, run, RetryPolicy::sweep_default())
-}
-
-/// [`try_run_cells`] with an explicit [`RetryPolicy`] — the shared
-/// retry machinery the fleet supervisor also builds on. The policy's
-/// backoff schedule is deterministic (no jitter), so retried sweeps
-/// stay bit-reproducible.
-pub fn try_run_cells_with_policy<C, R, F>(
-    cells: Vec<C>,
-    run: F,
-    policy: RetryPolicy,
-) -> (Vec<(CellOutcome<R>, f64)>, SweepStats)
+/// `run` maps a cell to `(result, simulated_acts)` and must be a pure
+/// function of the cell (each cell seeds its own simulators), which
+/// keeps the parallel run bit-identical to a serial loop over `cells`
+/// in order — including the retry, which re-runs the same pure
+/// computation.
+pub fn try_run_cells<C, R, F>(cells: Vec<C>, run: F) -> (Vec<CellOutcome<R, String>>, SweepStats)
 where
     C: Send + Clone,
     R: Send,
     F: Fn(C) -> (R, u64) + Sync,
 {
     let start = Instant::now();
-    let timed: Vec<(CellOutcome<R>, u64, f64)> = cells
-        .into_par_iter()
-        .map(|cell| {
-            let cell_start = Instant::now();
-            let (result, attempts) =
-                policy.run(|_attempt| panic::catch_unwind(AssertUnwindSafe(|| run(cell.clone()))));
-            let outcome = match result {
-                Ok((result, acts)) => (CellOutcome::Ok { attempts, result }, acts),
-                Err(payload) => (
-                    CellOutcome::Failed {
-                        attempts,
-                        message: panic_message(payload),
-                    },
-                    0,
-                ),
-            };
-            (outcome.0, outcome.1, cell_start.elapsed().as_secs_f64())
-        })
-        .collect();
-
+    let threads = rayon::current_num_threads();
+    let runs = run_supervised(
+        cells,
+        threads,
+        RetryPolicy::sweep_default(),
+        None,
+        |cell, _attempt| Ok::<_, String>(run(cell.clone())),
+    );
     let stats = SweepStats {
         wall_seconds: start.elapsed().as_secs_f64(),
-        cell_seconds: timed.iter().map(|t| t.2).sum(),
-        total_acts: timed.iter().map(|t| t.1).sum(),
-        threads: rayon::current_num_threads(),
+        cell_seconds: runs.iter().map(|o| o.wall_seconds).sum(),
+        total_acts: runs
+            .iter()
+            .filter_map(|o| o.result.as_ref().ok())
+            .map(|(_, acts)| acts)
+            .sum(),
+        threads,
     };
-    (timed.into_iter().map(|t| (t.0, t.2)).collect(), stats)
+    let outcomes = runs
+        .into_iter()
+        .map(|o| CellOutcome {
+            result: o.result.map(|(result, _acts)| result),
+            attempts: o.attempts,
+            replayed: o.replayed,
+            wall_seconds: o.wall_seconds,
+        })
+        .collect();
+    (outcomes, stats)
 }
 
 /// Runs independent experiment cells in parallel, returning results in
@@ -240,12 +174,13 @@ where
     let total = outcomes.len();
     let mut results = Vec::with_capacity(total);
     let mut failures = Vec::new();
-    for (index, (outcome, wall_seconds)) in outcomes.into_iter().enumerate() {
-        match outcome {
-            CellOutcome::Ok { result, .. } => results.push((result, wall_seconds)),
-            CellOutcome::Failed { attempts, message } => {
-                failures.push(format!("cell {index} ({attempts} attempts): {message}"));
-            }
+    for (index, outcome) in outcomes.into_iter().enumerate() {
+        match outcome.result {
+            Ok(result) => results.push((result, outcome.wall_seconds)),
+            Err(message) => failures.push(format!(
+                "cell {index} ({} attempts): {message}",
+                outcome.attempts
+            )),
         }
     }
     assert!(
@@ -264,27 +199,22 @@ where
 /// and its render — is bit-identical across worker thread counts and
 /// retried runs of the same cells.
 pub fn cell_metrics<R>(
-    outcomes: &[(CellOutcome<R>, f64)],
+    outcomes: &[CellOutcome<R, String>],
     stats: &SweepStats,
 ) -> moat_telemetry::MetricsRegistry {
     let mut reg = moat_telemetry::MetricsRegistry::new();
     reg.add("sweep.cells.started", outcomes.len() as u64);
     reg.add("sweep.acts", stats.total_acts);
-    for (outcome, _wall) in outcomes {
-        let attempts = match outcome {
-            CellOutcome::Ok { attempts, .. } => {
-                reg.add("sweep.cells.finished", 1);
-                if *attempts > 1 {
-                    reg.add("sweep.cells.retried", 1);
-                }
-                *attempts
+    for outcome in outcomes {
+        if outcome.result.is_ok() {
+            reg.add("sweep.cells.finished", 1);
+            if outcome.attempts > 1 {
+                reg.add("sweep.cells.retried", 1);
             }
-            CellOutcome::Failed { attempts, .. } => {
-                reg.add("sweep.cells.failed", 1);
-                *attempts
-            }
-        };
-        reg.observe("sweep.cell.attempts", u64::from(attempts));
+        } else {
+            reg.add("sweep.cells.failed", 1);
+        }
+        reg.observe("sweep.cell.attempts", u64::from(outcome.attempts));
     }
     reg
 }
@@ -398,23 +328,23 @@ mod tests {
             2,
             "poisoned cell is retried exactly once"
         );
-        for (i, (outcome, wall)) in outcomes.iter().enumerate() {
-            assert!(*wall >= 0.0);
+        for (i, outcome) in outcomes.iter().enumerate() {
+            assert!(outcome.wall_seconds >= 0.0);
             if i == 3 {
-                match outcome {
-                    CellOutcome::Failed { attempts, message } => {
-                        assert_eq!(*attempts, 2);
+                assert_eq!(outcome.attempts, 2);
+                match &outcome.result {
+                    Err(message) => {
                         assert!(message.contains("poisoned cell 3"), "got {message:?}");
                     }
-                    CellOutcome::Ok { .. } => panic!("poisoned cell reported Ok"),
+                    Ok(_) => panic!("poisoned cell reported Ok"),
                 }
             } else {
-                match outcome {
-                    CellOutcome::Ok { result, attempts } => {
+                assert_eq!(outcome.attempts, 1);
+                match &outcome.result {
+                    Ok(result) => {
                         assert_eq!(*result, (i as u32) * 7, "sibling result intact");
-                        assert_eq!(*attempts, 1);
                     }
-                    CellOutcome::Failed { message, .. } => {
+                    Err(message) => {
                         panic!("sibling cell {i} killed by poisoned cell: {message}")
                     }
                 }
@@ -435,41 +365,15 @@ mod tests {
             }
             (c, 5u64)
         });
-        match &outcomes[0].0 {
-            CellOutcome::Ok { result, attempts } => {
-                assert_eq!(*result, 42);
-                assert_eq!(*attempts, 2, "success on the retry is recorded as such");
-            }
-            CellOutcome::Failed { message, .. } => panic!("retry did not recover: {message}"),
+        match &outcomes[0].result {
+            Ok(result) => assert_eq!(*result, 42),
+            Err(message) => panic!("retry did not recover: {message}"),
         }
-        assert_eq!(stats.total_acts, 5, "the successful retry's acts count");
-    }
-
-    #[test]
-    fn retry_policy_knob_controls_attempt_budget() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::time::Duration;
-
-        let calls = AtomicU32::new(0);
-        let policy = RetryPolicy::with_attempts(3, Duration::from_millis(0));
-        let (outcomes, _) = try_run_cells_with_policy(
-            vec![0u32],
-            |_| {
-                let n = calls.fetch_add(1, Ordering::SeqCst) + 1;
-                if n < 3 {
-                    panic!("flaky until third attempt");
-                }
-                (n, 1u64)
-            },
-            policy,
+        assert_eq!(
+            outcomes[0].attempts, 2,
+            "success on the retry is recorded as such"
         );
-        match &outcomes[0].0 {
-            CellOutcome::Ok { attempts, result } => {
-                assert_eq!(*attempts, 3, "a 3-attempt policy survives two panics");
-                assert_eq!(*result, 3);
-            }
-            CellOutcome::Failed { message, .. } => panic!("policy exhausted early: {message}"),
-        }
+        assert_eq!(stats.total_acts, 5, "the successful retry's acts count");
     }
 
     #[test]
@@ -477,7 +381,7 @@ mod tests {
         use std::sync::atomic::{AtomicU32, Ordering};
 
         let siblings_done = AtomicU32::new(0);
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_cells((0..8u32).collect(), |c| {
                 if c == 2 {
                     panic!("deliberate poison");
@@ -486,7 +390,7 @@ mod tests {
                 (c, 0u64)
             })
         }));
-        let message = panic_message(caught.expect_err("a poisoned cell must surface"));
+        let message = moat_fleet::panic_message(caught.expect_err("a poisoned cell must surface"));
         assert!(
             message.contains("1 of 8 sweep cells failed"),
             "got {message:?}"

@@ -1,8 +1,9 @@
-//! The repro binary's fail-fast contract for observability env vars:
-//! every malformed `MOAT_TELEMETRY` / `MOAT_LOG` form is rejected at
-//! startup with exit code 2 and a `repro:`-prefixed message — never
-//! silently ignored (which would run an *unobserved* experiment while
-//! the operator believes telemetry is recording).
+//! The repro binary's fail-fast contract for its env vars: every
+//! malformed `MOAT_TELEMETRY` / `MOAT_LOG` / fault / recovery form is
+//! rejected at startup with exit code 2 and a `repro:`-prefixed message
+//! naming the variable — never silently ignored (which would run an
+//! *unobserved* or *unfaulted* experiment while the operator believes
+//! telemetry or chaos is armed).
 
 use std::process::Command;
 
@@ -12,7 +13,7 @@ fn repro() -> Command {
 
 #[test]
 fn each_malformed_observability_env_form_exits_2() {
-    let cases: [(&str, &str); 8] = [
+    let cases: [(&str, &str); 13] = [
         ("MOAT_TELEMETRY", "level"),           // not key=value
         ("MOAT_TELEMETRY", "level=verbose"),   // unknown level
         ("MOAT_TELEMETRY", "sink=flamegraph"), // unknown sink
@@ -21,6 +22,11 @@ fn each_malformed_observability_env_form_exits_2() {
         ("MOAT_LOG", "debug"),                 // unknown level
         ("MOAT_LOG", "WARN"),                  // grammar is lowercase
         ("MOAT_LOG", "warn,info"),             // one level, not a list
+        ("MOAT_FAULTS", "seu=1e-3,seu=0"),     // a key given twice
+        ("MOAT_FLEET_FAULTS", "crash=2"),      // rate outside [0, 1]
+        ("MOAT_RECOVERY", "fallback=yes"),     // not on|off
+        ("MOAT_IO_FAULTS", "write=x"),         // non-numeric count
+        ("MOAT_FAULTS", "seu=2"),              // rate outside [0, 1]
     ];
     for (var, bad) in cases {
         let out = repro()
@@ -35,8 +41,8 @@ fn each_malformed_observability_env_form_exits_2() {
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("repro: "),
-            "{var}={bad} must explain itself on stderr, got: {stderr}"
+            stderr.contains("repro: ") && stderr.contains(var),
+            "{var}={bad} must explain itself on stderr, naming {var}, got: {stderr}"
         );
     }
 }
@@ -45,7 +51,14 @@ fn each_malformed_observability_env_form_exits_2() {
 #[test]
 fn non_unicode_observability_env_exits_2() {
     use std::os::unix::ffi::OsStringExt;
-    for var in ["MOAT_TELEMETRY", "MOAT_LOG"] {
+    for var in [
+        "MOAT_TELEMETRY",
+        "MOAT_LOG",
+        "MOAT_FAULTS",
+        "MOAT_FLEET_FAULTS",
+        "MOAT_RECOVERY",
+        "MOAT_IO_FAULTS",
+    ] {
         let bogus = std::ffi::OsString::from_vec(vec![0x66, 0xFF, 0x67]);
         let out = repro()
             .arg("list")
@@ -59,7 +72,7 @@ fn non_unicode_observability_env_exits_2() {
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("not valid Unicode"),
+            stderr.contains("not valid Unicode") && stderr.contains(var),
             "non-Unicode {var} must be named on stderr, got: {stderr}"
         );
     }

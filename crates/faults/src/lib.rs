@@ -34,6 +34,7 @@ use std::fmt;
 
 use moat_dram::{EngineFault, MitigationEngine, Nanos};
 use moat_sim::FaultHook;
+use moat_telemetry::kv;
 
 /// A tiny deterministic PRNG (SplitMix64): one `u64` of state, full
 /// 2^64 period, identical output on every platform. Vendored here rather
@@ -142,48 +143,37 @@ impl FaultPlan {
 
     /// Parses a plan from a `key=value` list, e.g.
     /// `seed=42,seu=1e-3,drop-rfm=1e-4,lose-alert=1e-4,stuck=1e-5`.
-    /// Unspecified fields default to seed 0 / rate 0; underscores and
-    /// dashes in keys are interchangeable.
+    /// Unspecified fields default to seed 0 / rate 0; the shared
+    /// [`kv`] grammar applies (dash/underscore-insensitive keys, no key
+    /// twice).
     ///
     /// # Errors
     ///
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none(0);
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec token `{token}` is not key=value"))?;
-            let key = key.trim().replace('-', "_");
-            let value = value.trim();
-            match key.as_str() {
-                "seed" => {
-                    plan.seed = value
-                        .parse()
-                        .map_err(|e| format!("fault seed `{value}`: {e}"))?;
-                }
-                "seu" | "drop_rfm" | "lose_alert" | "stuck" => {
-                    let rate: f64 = value
-                        .parse()
-                        .map_err(|e| format!("fault rate `{key}={value}`: {e}"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("fault rate `{key}={value}` outside [0, 1]"));
-                    }
-                    match key.as_str() {
-                        "seu" => plan.seu_rate = rate,
-                        "drop_rfm" => plan.drop_rfm_rate = rate,
-                        "lose_alert" => plan.lose_alert_rate = rate,
-                        _ => plan.stuck_rate = rate,
-                    }
-                }
-                _ => return Err(format!("unknown fault spec key `{key}`")),
-            }
+        for (key, value) in kv::pairs("fault", spec)? {
+            plan.set(&key, value)?;
         }
         Ok(plan)
+    }
+
+    /// Applies one normalised pair of the [`parse`](Self::parse)
+    /// grammar (also the base keys of the fleet fault grammar).
+    ///
+    /// # Errors
+    ///
+    /// An unknown key or a malformed value.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        match key {
+            "seed" => self.seed = kv::num(key, value)?,
+            "seu" => self.seu_rate = kv::rate(key, value)?,
+            "drop_rfm" => self.drop_rfm_rate = kv::rate(key, value)?,
+            "lose_alert" => self.lose_alert_rate = kv::rate(key, value)?,
+            "stuck" => self.stuck_rate = kv::rate(key, value)?,
+            _ => return Err(kv::unknown("fault", key)),
+        }
+        Ok(())
     }
 
     /// The plan armed via the [`MOAT_FAULTS`](Self::ENV_VAR) environment
@@ -191,18 +181,11 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value.
+    /// Propagates [`parse`](Self::parse) errors, prefixed with the
+    /// variable; a non-Unicode value surfaces instead of silently
+    /// disarming the plan.
     pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            // Previously swallowed by a catch-all arm: a non-Unicode
-            // value now surfaces instead of silently disarming the plan.
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        kv::from_env(Self::ENV_VAR, Self::parse)
     }
 }
 
@@ -406,6 +389,14 @@ mod tests {
         assert!(FaultPlan::parse("warp=0.1").is_err(), "unknown key");
         assert!(FaultPlan::parse("seed=abc").is_err(), "bad seed");
         assert!(
+            FaultPlan::parse("seu=1e-3,seu=0").is_err(),
+            "a key given twice"
+        );
+        assert!(
+            FaultPlan::parse("drop-rfm=0.5,drop_rfm=0").is_err(),
+            "a key given twice under both spellings"
+        );
+        assert!(
             FaultPlan::parse("").unwrap().is_empty(),
             "empty spec is the empty plan"
         );
@@ -429,6 +420,7 @@ mod tests {
         check("seu=2.0", true); // rate out of range
         check("warp=0.1", true); // unknown key
         check("seed=abc", true); // non-numeric seed
+        check("seu=1e-3,seu=0", true); // a key given twice
         check("", false); // empty means unarmed, not an error
         check("   ", false);
         check("seed=7,seu=0.5", false);

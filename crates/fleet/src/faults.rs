@@ -16,6 +16,7 @@
 //! `seed=7,crash=0.05,stall=0.01,seu=1e-6`.
 
 use moat_faults::{FaultPlan, SplitMix64};
+use moat_telemetry::kv;
 use std::fmt;
 
 /// Hashes a shard index into a seed perturbation (FNV-1a, the same
@@ -63,45 +64,25 @@ impl FleetFaultPlan {
     }
 
     /// Parses a spec: fleet keys (`crash`, `stall`, `slow`, `poison`)
-    /// are consumed here, every other token is delegated to
-    /// [`FaultPlan::parse`] so the engine-level grammar (seed, seu,
-    /// drop-rfm, lose-alert, stuck) keeps working verbatim.
+    /// are set here, every other key goes to [`FaultPlan::set`] so the
+    /// engine-level grammar (seed, seu, drop-rfm, lose-alert, stuck)
+    /// keeps working verbatim. One [`kv`] tokenizer covers both halves,
+    /// so a key repeated across them is rejected too.
     ///
     /// # Errors
     ///
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<FleetFaultPlan, String> {
         let mut plan = FleetFaultPlan::none(0);
-        let mut base_tokens: Vec<&str> = Vec::new();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = token.split_once('=') else {
-                return Err(format!("fleet fault token `{token}` is not key=value"));
-            };
-            let key = key.trim().replace('-', "_");
+        for (key, value) in kv::pairs("fleet fault", spec)? {
             match key.as_str() {
-                "crash" | "stall" | "slow" | "poison" => {
-                    let rate: f64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("fleet fault rate `{token}`: {e}"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("fleet fault rate `{token}` outside [0, 1]"));
-                    }
-                    match key.as_str() {
-                        "crash" => plan.crash_rate = rate,
-                        "stall" => plan.stall_rate = rate,
-                        "slow" => plan.slow_rate = rate,
-                        _ => plan.poison_rate = rate,
-                    }
-                }
-                _ => base_tokens.push(token),
+                "crash" => plan.crash_rate = kv::rate(&key, value)?,
+                "stall" => plan.stall_rate = kv::rate(&key, value)?,
+                "slow" => plan.slow_rate = kv::rate(&key, value)?,
+                "poison" => plan.poison_rate = kv::rate(&key, value)?,
+                _ => plan.base.set(&key, value)?,
             }
         }
-        plan.base = FaultPlan::parse(&base_tokens.join(","))?;
         Ok(plan)
     }
 
@@ -110,17 +91,11 @@ impl FleetFaultPlan {
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors, and rejects a value
-    /// that is not valid Unicode instead of silently ignoring it.
+    /// Propagates [`parse`](Self::parse) errors, prefixed with the
+    /// variable, and rejects a value that is not valid Unicode instead
+    /// of silently ignoring it.
     pub fn from_env() -> Result<Option<FleetFaultPlan>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec).map(Some),
-            Ok(_) => Ok(None),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        kv::from_env(Self::ENV_VAR, Self::parse)
     }
 
     /// Whether any fleet-level rate is non-zero.
@@ -232,6 +207,14 @@ mod tests {
         assert!(FleetFaultPlan::parse("crash=-0.1").is_err(), "rate < 0");
         assert!(FleetFaultPlan::parse("scribble=1").is_err(), "unknown key");
         assert!(FleetFaultPlan::parse("seed=zz").is_err(), "bad base token");
+        assert!(
+            FleetFaultPlan::parse("crash=0.5,crash=0").is_err(),
+            "fleet key given twice"
+        );
+        assert!(
+            FleetFaultPlan::parse("seu=1e-3,crash=0.5,seu=0").is_err(),
+            "base key repeated across the fleet/base split"
+        );
     }
 
     #[test]

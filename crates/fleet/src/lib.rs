@@ -14,9 +14,13 @@
 //! - [`shard::run_shard`]: a pure function of (config, shard) that
 //!   multiplexes the shard's tenants (striped [`WorkloadStream`]
 //!   profiles) onto its sims.
-//! - [`FleetSupervisor`]: the self-healing layer — per-attempt worker
-//!   threads under `catch_unwind`, a watchdog deadline, bounded retry
-//!   with deterministic exponential backoff ([`RetryPolicy`]), and
+//! - [`run_supervised`]: the one supervised cell runner — checkpoint
+//!   replay through a [`ShardStore`], `catch_unwind`, and bounded retry
+//!   with deterministic exponential backoff ([`RetryPolicy`]). The
+//!   sweeps and the arena in `moat-bench` run their grids through it
+//!   too.
+//! - [`FleetSupervisor`]: the self-healing layer over that runner —
+//!   per-attempt worker threads under a watchdog deadline, and
 //!   quarantine on repeated failure.
 //! - [`FleetFaultPlan`]: seeded fleet-level fault injection (crash,
 //!   stall, slow, poisoned tenant) layered over the engine-level
@@ -37,6 +41,7 @@
 pub mod faults;
 pub mod report;
 pub mod retry;
+pub mod runner;
 pub mod shard;
 pub mod supervisor;
 pub mod topology;
@@ -44,8 +49,7 @@ pub mod topology;
 pub use faults::{FleetFaultPlan, ShardFault};
 pub use report::{FleetReport, FleetStats, Incident};
 pub use retry::RetryPolicy;
+pub use runner::{panic_message, run_supervised, CellOutcome, Replay, ShardStore};
 pub use shard::{run_shard, ShardReport};
-pub use supervisor::{
-    FleetConfig, FleetSupervisor, QuarantineReason, ShardOutcome, ShardState, ShardStore,
-};
+pub use supervisor::{FleetConfig, FleetSupervisor, QuarantineReason, ShardOutcome, ShardState};
 pub use topology::{FleetTopology, ShardId};

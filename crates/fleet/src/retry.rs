@@ -1,10 +1,12 @@
-//! Deterministic retry policies shared by the sweep harness and the
-//! fleet supervisor.
+//! Deterministic retry policies for the one supervised cell runner
+//! ([`run_supervised`](crate::runner::run_supervised)), which the
+//! sweeps, the arena and the fleet supervisor all run through.
 //!
-//! Both layers face the same problem — a unit of work (a sweep cell, a
-//! shard attempt) that crashed or timed out and deserves another chance
-//! before it is written off — and both need the *same* answer for every
-//! run, because their outputs are diffed bit-for-bit across runs. A
+//! Every grid faces the same problem — a unit of work (a sweep cell, an
+//! arena cell, a shard attempt) that crashed or timed out and deserves
+//! another chance before it is written off — and needs the *same*
+//! answer for every run, because its output is diffed bit-for-bit
+//! across runs. [`RetryPolicy::run`] is the only retry loop. A
 //! [`RetryPolicy`] is therefore pure data: a bounded attempt count and an
 //! exponential backoff schedule with **no jitter**. Two runs with equal
 //! policies make identical retry decisions and sleep identical durations;

@@ -24,6 +24,7 @@ use moat_sim::{
     hammer_attacker, Hooks, PerfConfig, PerfSim, Request, RequestStream, SecurityConfig,
     SecuritySim,
 };
+use moat_telemetry::kv::Record;
 use moat_trackers::registry;
 use moat_workloads::{GeneratorConfig, WorkloadStream, PROFILES};
 
@@ -119,18 +120,8 @@ impl ShardReport {
     /// Parses a [`to_record`](Self::to_record) line. `None` on any
     /// mismatch — the caller falls back to re-running the shard live.
     pub fn parse(record: &str) -> Option<ShardReport> {
-        let mut fields = std::collections::HashMap::new();
-        for token in record.split_whitespace() {
-            let (k, v) = token.split_once('=')?;
-            fields.insert(k, v);
-        }
-        let int = |k: &str| fields.get(k)?.parse::<u64>().ok();
-        let bits = |k: &str| {
-            u64::from_str_radix(fields.get(k)?, 16)
-                .map(f64::from_bits)
-                .ok()
-        };
-        let poisoned = match *fields.get("poisoned")? {
+        let r = Record::parse(record)?;
+        let poisoned = match r.raw("poisoned")? {
             "" => Vec::new(),
             list => list
                 .split('+')
@@ -138,23 +129,23 @@ impl ShardReport {
                 .collect::<Option<Vec<u32>>>()?,
         };
         Some(ShardReport {
-            shard_index: int("shard")? as u32,
-            tenants: int("tenants")? as u32,
+            shard_index: r.get("shard")?,
+            tenants: r.get("tenants")?,
             poisoned,
-            perf_acts: int("perf_acts")?,
-            alerts: int("alerts")?,
-            alerts_per_trefi: bits("alerts_per_trefi")?,
-            slowdown: bits("slowdown")?,
-            security_acts: int("security_acts")?,
-            security_alerts: int("security_alerts")?,
-            max_pressure: int("max_pressure")? as u32,
-            unsound_horizons: int("unsound")?,
-            escaped_acts: int("escaped")?,
-            integrity_detected: int("idet")?,
-            integrity_repaired: int("irep")?,
-            fallback_mitigations: int("ifb")?,
-            scrubs: int("iscr")?,
-            slow_injected: fields.get("slow")?.parse::<bool>().ok()?,
+            perf_acts: r.get("perf_acts")?,
+            alerts: r.get("alerts")?,
+            alerts_per_trefi: f64::from_bits(r.hex("alerts_per_trefi")?),
+            slowdown: f64::from_bits(r.hex("slowdown")?),
+            security_acts: r.get("security_acts")?,
+            security_alerts: r.get("security_alerts")?,
+            max_pressure: r.get("max_pressure")?,
+            unsound_horizons: r.get("unsound")?,
+            escaped_acts: r.get("escaped")?,
+            integrity_detected: r.get("idet")?,
+            integrity_repaired: r.get("irep")?,
+            fallback_mitigations: r.get("ifb")?,
+            scrubs: r.get("iscr")?,
+            slow_injected: r.get("slow")?,
         })
     }
 }

@@ -1,10 +1,13 @@
 //! The self-healing shard supervisor.
 //!
-//! Every shard attempt runs on its own worker thread under
-//! `catch_unwind`, watched by a deadline: the supervisor waits
+//! Shards run through the shared cell runner
+//! ([`run_supervised`](crate::runner::run_supervised)), which replays
+//! checkpointed shards and retries failed attempts under the
+//! deterministic [`RetryPolicy`]. What the fleet adds is the attempt
+//! body: every attempt runs on its own worker thread under
+//! `catch_unwind`, watched by a deadline — the supervisor waits
 //! [`FleetConfig::deadline`] for the attempt's result and treats
-//! silence as a failure exactly like a panic. Failures retry under the
-//! shared deterministic [`RetryPolicy`]; a shard that exhausts its
+//! silence as a failure exactly like a panic. A shard that exhausts its
 //! attempts is **quarantined** — its coverage is marked degraded in the
 //! merged report and an incident is logged, but its siblings and the
 //! run itself complete. The state machine per shard:
@@ -37,6 +40,7 @@ use moat_guard::RecoveryPlan;
 use crate::faults::FleetFaultPlan;
 use crate::report::{FleetReport, FleetStats};
 use crate::retry::RetryPolicy;
+use crate::runner::{panic_message, run_supervised, CellOutcome, Replay, ShardStore};
 use crate::shard::{run_shard, ShardReport};
 use crate::topology::{FleetTopology, ShardId};
 
@@ -179,21 +183,20 @@ pub struct ShardOutcome {
     pub replayed: bool,
 }
 
-/// A store of completed shard records for checkpoint/resume. Only
-/// successful shards are recorded — a quarantined shard re-runs on
-/// resume, because the interruption may have *been* the failure.
-pub trait ShardStore: Sync {
-    /// The recorded line for `shard`, if any.
-    fn lookup(&self, shard: u32) -> Option<String>;
-    /// Durably records `record` for `shard`.
-    fn record(&self, shard: u32, record: &str);
+/// Why one attempt failed, as seen by the watchdog.
+struct AttemptFailure {
+    reason: QuarantineReason,
+    message: String,
 }
 
-/// What one attempt produced, as seen by the watchdog.
-enum Attempt {
-    Done(Box<ShardReport>),
-    Panicked(String),
-    TimedOut,
+/// A panic caught around the attempt body itself.
+impl From<String> for AttemptFailure {
+    fn from(message: String) -> Self {
+        AttemptFailure {
+            reason: QuarantineReason::Crash,
+            message,
+        }
+    }
 }
 
 /// The fleet supervisor: runs every shard under watchdog + retry +
@@ -233,19 +236,27 @@ impl FleetSupervisor {
     ) -> (FleetReport, FleetStats) {
         let started = Instant::now();
         let config = self.config;
-        let mut outcomes = rayon::queue::chunked_map(
+        let replay = store.map(|store| Replay {
+            store,
+            name: |index: &u32| format!("shard-{index:05}"),
+            decode: |&index: &u32, record: &str| {
+                ShardReport::parse(record).filter(|r| r.shard_index == index)
+            },
+            encode: ShardReport::to_record,
+        });
+        let runs = run_supervised(
             order.to_vec(),
-            |index| supervise_shard(&config, index, store),
-            threads.max(1),
+            threads,
+            config.retry,
+            replay.as_ref(),
+            |&index, attempt| run_attempt(&config, config.topology.shard(index), attempt),
         );
+        let mut outcomes: Vec<ShardOutcome> = order
+            .iter()
+            .zip(runs)
+            .map(|(&index, run)| shard_outcome(config.topology.shard(index), run))
+            .collect();
         outcomes.sort_by_key(|o| o.shard.index);
-        if let Some(store) = store {
-            for outcome in &outcomes {
-                if let (Some(report), false) = (&outcome.report, outcome.replayed) {
-                    store.record(outcome.shard.index, &report.to_record());
-                }
-            }
-        }
         let simulated_acts: u64 = outcomes
             .iter()
             .filter_map(|o| o.report.as_ref())
@@ -261,73 +272,32 @@ impl FleetSupervisor {
     }
 }
 
-/// Supervises one shard: checkpoint replay, then the watchdog + retry
-/// loop, then classification into a [`ShardOutcome`].
-fn supervise_shard(
-    config: &FleetConfig,
-    index: u32,
-    store: Option<&dyn ShardStore>,
-) -> ShardOutcome {
-    let shard = config.topology.shard(index);
-
-    if let Some(record) = store.and_then(|s| s.lookup(index)) {
-        // A corrupt record falls through to a live re-run.
-        if let Some(report) = ShardReport::parse(&record).filter(|r| r.shard_index == index) {
-            return ShardOutcome {
-                shard,
-                state: ShardState::Completed,
-                report: Some(report),
-                error: None,
-                replayed: true,
-            };
-        }
-    }
-
-    let fault = config.faults.shard_fault(index, config.retry.max_attempts);
-    let max_attempts = config.retry.max_attempts.max(1);
-    let mut last_error = String::new();
-
-    for attempt in 1..=max_attempts {
-        if let Some(backoff) = config.retry.backoff_before(attempt) {
-            std::thread::sleep(backoff);
-        }
-        match run_attempt(config, shard, attempt) {
-            Attempt::Done(report) => {
-                let state = if attempt == 1 {
-                    ShardState::Completed
-                } else {
-                    ShardState::Recovered { attempts: attempt }
-                };
-                return ShardOutcome {
-                    shard,
-                    state,
-                    report: Some(*report),
-                    error: None,
-                    replayed: false,
-                };
-            }
-            Attempt::Panicked(message) => last_error = message,
-            Attempt::TimedOut => {
-                last_error = format!("watchdog deadline {:?} exceeded", config.deadline);
-            }
-        }
-        let _ = attempt;
-    }
-
-    let reason = if fault.stall || last_error.starts_with("watchdog deadline") {
-        QuarantineReason::Timeout
-    } else {
-        QuarantineReason::Crash
+/// Classifies one supervised shard into its terminal [`ShardState`].
+fn shard_outcome(shard: ShardId, run: CellOutcome<ShardReport, AttemptFailure>) -> ShardOutcome {
+    let (state, report, error) = match run.result {
+        Ok(report) if run.attempts <= 1 => (ShardState::Completed, Some(report), None),
+        Ok(report) => (
+            ShardState::Recovered {
+                attempts: run.attempts,
+            },
+            Some(report),
+            None,
+        ),
+        Err(failure) => (
+            ShardState::Quarantined {
+                reason: failure.reason,
+                attempts: run.attempts,
+            },
+            None,
+            Some(failure.message),
+        ),
     };
     ShardOutcome {
         shard,
-        state: ShardState::Quarantined {
-            reason,
-            attempts: max_attempts,
-        },
-        report: None,
-        error: Some(last_error),
-        replayed: false,
+        state,
+        report,
+        error,
+        replayed: run.replayed,
     }
 }
 
@@ -335,7 +305,11 @@ fn supervise_shard(
 /// supervisor waits at most [`FleetConfig::deadline`] for its verdict.
 /// A timed-out worker is cancelled via a shared flag and detached — a
 /// genuinely wedged worker cannot block its supervisor.
-fn run_attempt(config: &FleetConfig, shard: ShardId, attempt: u32) -> Attempt {
+fn run_attempt(
+    config: &FleetConfig,
+    shard: ShardId,
+    attempt: u32,
+) -> Result<ShardReport, AttemptFailure> {
     let fault = config
         .faults
         .shard_fault(shard.index, config.retry.max_attempts);
@@ -363,32 +337,20 @@ fn run_attempt(config: &FleetConfig, shard: ShardId, attempt: u32) -> Attempt {
     });
 
     match rx.recv_timeout(config.deadline) {
-        Ok(Ok(report)) => {
+        Ok(result) => {
             let _ = handle.join();
-            Attempt::Done(Box::new(report))
-        }
-        Ok(Err(message)) => {
-            let _ = handle.join();
-            Attempt::Panicked(message)
+            result.map_err(AttemptFailure::from)
         }
         Err(_) => {
             cancel.store(true, Ordering::Relaxed);
             // Deliberately do not join: the worker may be wedged beyond
             // the cancellation point. It exits on its own or at process
             // end; the attempt is already charged as failed.
-            Attempt::TimedOut
+            Err(AttemptFailure {
+                reason: QuarantineReason::Timeout,
+                message: format!("watchdog deadline {:?} exceeded", config.deadline),
+            })
         }
-    }
-}
-
-/// Renders a panic payload into the incident message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
     }
 }
 
@@ -425,14 +387,17 @@ mod tests {
     }
 
     #[derive(Default)]
-    struct MemStore(Mutex<std::collections::HashMap<u32, String>>);
+    struct MemStore(Mutex<std::collections::HashMap<String, String>>);
 
     impl ShardStore for MemStore {
-        fn lookup(&self, shard: u32) -> Option<String> {
-            self.0.lock().unwrap().get(&shard).cloned()
+        fn lookup(&self, name: &str) -> Option<String> {
+            self.0.lock().unwrap().get(name).cloned()
         }
-        fn record(&self, shard: u32, record: &str) {
-            self.0.lock().unwrap().insert(shard, record.to_string());
+        fn record(&self, name: &str, record: &str) {
+            self.0
+                .lock()
+                .unwrap()
+                .insert(name.to_string(), record.to_string());
         }
     }
 
@@ -445,9 +410,9 @@ mod tests {
         let (full, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&store));
         assert_eq!(store.0.lock().unwrap().len(), 4);
         let partial = MemStore::default();
-        for shard in [1u32, 2] {
-            let record = store.lookup(shard).unwrap();
-            partial.record(shard, &record);
+        for name in ["shard-00001", "shard-00002"] {
+            let record = store.lookup(name).unwrap();
+            partial.record(name, &record);
         }
         let (resumed, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&partial));
         assert_eq!(resumed.render(), full.render());
@@ -460,7 +425,7 @@ mod tests {
         let clean = MemStore::default();
         let (expected, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&clean));
         let corrupt = MemStore::default();
-        corrupt.record(0, "not a record");
+        corrupt.record("shard-00000", "not a record");
         let (report, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&corrupt));
         assert_eq!(report.render(), expected.render());
     }

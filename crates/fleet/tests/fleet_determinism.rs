@@ -132,14 +132,17 @@ fn crashed_shard_quarantines_deterministically_and_degrades_the_run() {
 }
 
 #[derive(Default)]
-struct MemStore(Mutex<HashMap<u32, String>>);
+struct MemStore(Mutex<HashMap<String, String>>);
 
 impl ShardStore for MemStore {
-    fn lookup(&self, shard: u32) -> Option<String> {
-        self.0.lock().unwrap().get(&shard).cloned()
+    fn lookup(&self, name: &str) -> Option<String> {
+        self.0.lock().unwrap().get(name).cloned()
     }
-    fn record(&self, shard: u32, record: &str) {
-        self.0.lock().unwrap().insert(shard, record.to_string());
+    fn record(&self, name: &str, record: &str) {
+        self.0
+            .lock()
+            .unwrap()
+            .insert(name.to_string(), record.to_string());
     }
 }
 
@@ -155,9 +158,9 @@ fn interrupted_run_resumes_to_the_same_report() {
     // Simulate an interruption: only the first half of the recorded
     // shards survived to the checkpoint.
     let partial = MemStore::default();
-    for (shard, record) in complete_store.0.lock().unwrap().iter() {
-        if *shard < 4 {
-            partial.record(*shard, record);
+    for (name, record) in complete_store.0.lock().unwrap().iter() {
+        if name.as_str() < "shard-00004" {
+            partial.record(name, record);
         }
     }
     let (resumed, _) = sup.run_with(&(0..8).collect::<Vec<u32>>(), 2, Some(&partial));

@@ -38,6 +38,7 @@ use std::fmt;
 
 use moat_dram::{MitigationEngine, Nanos};
 use moat_sim::{BankUnit, GuardHook};
+use moat_telemetry::kv;
 
 /// A recovery policy: how often to scrub, and whether detection triggers
 /// the conservative fallback.
@@ -89,38 +90,21 @@ impl RecoveryPlan {
 
     /// Parses a plan from a `key=value` list, e.g.
     /// `scrub=500000,fallback=on`. Unspecified fields default to
-    /// [`detect_only`](Self::detect_only); underscores and dashes in
-    /// keys are interchangeable.
+    /// [`detect_only`](Self::detect_only); the shared [`kv`] grammar
+    /// applies (dash/underscore-insensitive keys, no key twice).
     ///
     /// # Errors
     ///
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<RecoveryPlan, String> {
         let mut plan = RecoveryPlan::detect_only();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("recovery spec token `{token}` is not key=value"))?;
-            let key = key.trim().replace('-', "_");
-            let value = value.trim();
+        for (key, value) in kv::pairs("recovery", spec)? {
             match key.as_str() {
-                "scrub" => {
-                    plan.scrub_interval_ns = value
-                        .parse()
-                        .map_err(|e| format!("scrub interval `{value}`: {e}"))?;
-                }
+                "scrub" => plan.scrub_interval_ns = kv::num(&key, value)?,
                 "fallback" => {
-                    plan.fallback = match value {
-                        "on" => true,
-                        "off" => false,
-                        _ => return Err(format!("fallback `{value}` must be `on` or `off`")),
-                    };
+                    plan.fallback = kv::choice("fallback", value, &[("on", true), ("off", false)])?;
                 }
-                _ => return Err(format!("unknown recovery spec key `{key}`")),
+                _ => return Err(kv::unknown("recovery", &key)),
             }
         }
         Ok(plan)
@@ -131,16 +115,10 @@ impl RecoveryPlan {
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value.
+    /// Propagates [`parse`](Self::parse) errors, prefixed with the
+    /// variable, and rejects a non-Unicode value.
     pub fn from_env() -> Result<Option<RecoveryPlan>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        kv::from_env(Self::ENV_VAR, Self::parse)
     }
 }
 
@@ -368,6 +346,12 @@ mod tests {
     }
 
     #[test]
+    fn plan_rejects_repeated_key() {
+        assert!(RecoveryPlan::parse("fallback=on,fallback=off").is_err());
+        assert!(RecoveryPlan::parse("scrub=1000, scrub=1000").is_err());
+    }
+
+    #[test]
     fn plan_parses_round_trip() {
         let plan = RecoveryPlan::parse("scrub=500000, fallback=on").unwrap();
         assert_eq!(plan, RecoveryPlan::full());
@@ -398,6 +382,7 @@ mod tests {
         check("scrub=soon", true); // non-numeric interval
         check("fallback=yes", true); // bad fallback form
         check("cadence=5", true); // unknown key
+        check("fallback=on,fallback=off", true); // a key given twice
         check("", false); // empty means unarmed, not an error
         check("   ", false);
         check("scrub=1000,fallback=off", false);

@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use crate::kv;
+
 /// How much the armed tracer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryLevel {
@@ -20,6 +22,8 @@ pub enum TelemetryLevel {
 }
 
 impl TelemetryLevel {
+    const ALL: [TelemetryLevel; 3] = [Self::Off, Self::Spans, Self::Full];
+
     /// The grammar token for this level.
     pub fn name(self) -> &'static str {
         match self {
@@ -44,6 +48,8 @@ pub enum TelemetrySink {
 }
 
 impl TelemetrySink {
+    const ALL: [TelemetrySink; 3] = [Self::Text, Self::Json, Self::Chrome];
+
     /// The grammar token for this sink.
     pub fn name(self) -> &'static str {
         match self {
@@ -91,46 +97,25 @@ impl TelemetryConfig {
 
     /// Parses a config from a `key=value` list, e.g.
     /// `level=full,sink=json`. Unspecified fields default to
-    /// `level=off,sink=text`; underscores and dashes in keys are
-    /// interchangeable.
+    /// `level=off,sink=text`; the shared [`kv`] grammar applies
+    /// (dash/underscore-insensitive keys, no key twice).
     ///
     /// # Errors
     ///
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<TelemetryConfig, String> {
         let mut config = TelemetryConfig::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("telemetry spec token `{token}` is not key=value"))?;
-            let key = key.trim().replace('-', "_");
-            let value = value.trim();
+        for (key, value) in kv::pairs("telemetry", spec)? {
             match key.as_str() {
                 "level" => {
-                    config.level = match value {
-                        "off" => TelemetryLevel::Off,
-                        "spans" => TelemetryLevel::Spans,
-                        "full" => TelemetryLevel::Full,
-                        other => {
-                            return Err(format!("telemetry level `{other}` is not off|spans|full"))
-                        }
-                    };
+                    let levels = TelemetryLevel::ALL.map(|l| (l.name(), l));
+                    config.level = kv::choice("telemetry level", value, &levels)?;
                 }
                 "sink" => {
-                    config.sink = match value {
-                        "text" => TelemetrySink::Text,
-                        "json" => TelemetrySink::Json,
-                        "chrome" => TelemetrySink::Chrome,
-                        other => {
-                            return Err(format!("telemetry sink `{other}` is not text|json|chrome"))
-                        }
-                    };
+                    let sinks = TelemetrySink::ALL.map(|s| (s.name(), s));
+                    config.sink = kv::choice("telemetry sink", value, &sinks)?;
                 }
-                _ => return Err(format!("unknown telemetry spec key `{key}`")),
+                _ => return Err(kv::unknown("telemetry", &key)),
             }
         }
         Ok(config)
@@ -141,17 +126,11 @@ impl TelemetryConfig {
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value; a
-    /// non-Unicode value surfaces instead of silently disarming.
+    /// Propagates [`parse`](Self::parse) errors, prefixed with the
+    /// variable; a non-Unicode value surfaces instead of silently
+    /// disarming.
     pub fn from_env() -> Result<Option<TelemetryConfig>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        kv::from_env(Self::ENV_VAR, Self::parse)
     }
 }
 
@@ -205,12 +184,13 @@ mod tests {
     #[test]
     fn parse_rejects_each_malformed_form() {
         for bad in [
-            "level",           // not key=value
-            "level=verbose",   // unknown level
-            "sink=flamegraph", // unknown sink
-            "depth=3",         // unknown key
-            "level=off,sink",  // trailing non-key=value token
-            "level=Full",      // grammar is lowercase
+            "level",                // not key=value
+            "level=verbose",        // unknown level
+            "sink=flamegraph",      // unknown sink
+            "depth=3",              // unknown key
+            "level=off,sink",       // trailing non-key=value token
+            "level=Full",           // grammar is lowercase
+            "level=full,level=off", // a key given twice
         ] {
             assert!(
                 TelemetryConfig::parse(bad).is_err(),
@@ -234,6 +214,7 @@ mod tests {
         check("level=verbose", true); // unknown level
         check("sink=flamegraph", true); // unknown sink
         check("depth=3", true); // unknown key
+        check("level=off,level=off", true); // a key given twice
         check("", false); // empty means off, not an error
         check("  ", false);
         assert_eq!(

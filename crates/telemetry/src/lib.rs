@@ -35,13 +35,16 @@
 //! code 2, like `MOAT_FAULTS` and its siblings. The [`log`] module is
 //! the leveled replacement for scattered `eprintln!` degradation
 //! warnings (`MOAT_LOG=error|warn|info`), silent by default so tests
-//! stay quiet.
+//! stay quiet. The [`kv`] module is that shared grammar: one comma-spec
+//! tokenizer, one env reader and one checkpoint-record reader for every
+//! crate that parses `key=value` text.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod config;
 mod hook;
+pub mod kv;
 pub mod log;
 mod metrics;
 mod tracer;

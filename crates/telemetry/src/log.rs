@@ -12,6 +12,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use crate::kv;
+
 /// A log severity, ordered `Error < Warn < Info` by verbosity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
@@ -43,12 +45,8 @@ impl LogLevel {
     ///
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<LogLevel, String> {
-        match spec.trim() {
-            "error" => Ok(LogLevel::Error),
-            "warn" => Ok(LogLevel::Warn),
-            "info" => Ok(LogLevel::Info),
-            other => Err(format!("log level `{other}` is not error|warn|info")),
-        }
+        let levels = [LogLevel::Error, LogLevel::Warn, LogLevel::Info];
+        kv::choice("log level", spec.trim(), &levels.map(|l| (l.name(), l)))
     }
 
     /// The level set via the [`MOAT_LOG`](Self::ENV_VAR) environment
@@ -56,17 +54,11 @@ impl LogLevel {
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value; a
-    /// non-Unicode value surfaces instead of silently defaulting.
+    /// Propagates [`parse`](Self::parse) errors, prefixed with the
+    /// variable; a non-Unicode value surfaces instead of silently
+    /// defaulting.
     pub fn from_env() -> Result<Option<LogLevel>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        kv::from_env(Self::ENV_VAR, Self::parse)
     }
 }
 

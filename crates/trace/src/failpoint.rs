@@ -24,6 +24,8 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once};
 
+use moat_telemetry::kv;
+
 /// The environment variable that arms the failpoints process-wide.
 pub const ENV_VAR: &str = "MOAT_IO_FAULTS";
 
@@ -47,47 +49,32 @@ impl IoFaultConfig {
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors, and rejects a value
-    /// that is not valid Unicode instead of silently ignoring it. The
-    /// repro binary calls this eagerly at startup so a malformed spec
-    /// fails the invocation with a clear message; the lazy in-library
-    /// arming path degrades with a warning instead (chaos tooling must
-    /// never turn a production run into a panic).
+    /// Propagates [`parse`](Self::parse) errors, prefixed with the
+    /// variable, and rejects a value that is not valid Unicode instead
+    /// of silently ignoring it. The repro binary calls this eagerly at
+    /// startup so a malformed spec fails the invocation with a clear
+    /// message; the lazy in-library arming path degrades with a warning
+    /// instead (chaos tooling must never turn a production run into a
+    /// panic).
     pub fn from_env() -> Result<Option<IoFaultConfig>, String> {
-        match std::env::var(ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{ENV_VAR} is set but not valid Unicode"))
-            }
-        }
+        kv::from_env(ENV_VAR, Self::parse)
     }
 
-    /// Parses a `key=value` list, e.g. `write=0,mmap=2,read=1`.
+    /// Parses a `key=value` list, e.g. `write=0,mmap=2,read=1`, in the
+    /// shared [`kv`] grammar (no key twice).
     ///
     /// # Errors
     ///
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<IoFaultConfig, String> {
         let mut config = IoFaultConfig::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("I/O fault token `{token}` is not key=value"))?;
-            let after: u64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("I/O fault count `{token}`: {e}"))?;
-            match key.trim() {
-                "write" => config.fail_writes_after = Some(after),
-                "mmap" => config.fail_mmaps_after = Some(after),
-                "read" => config.fail_reads_after = Some(after),
-                other => return Err(format!("unknown I/O fault key `{other}`")),
+        for (key, value) in kv::pairs("I/O fault", spec)? {
+            let after = Some(kv::num(&key, value)?);
+            match key.as_str() {
+                "write" => config.fail_writes_after = after,
+                "mmap" => config.fail_mmaps_after = after,
+                "read" => config.fail_reads_after = after,
+                _ => return Err(kv::unknown("I/O fault", &key)),
             }
         }
         Ok(config)
@@ -232,6 +219,7 @@ mod tests {
         check("write", true); // missing =
         check("write=x", true); // non-numeric count
         check("scribble=1", true); // unknown key
+        check("write=0,write=1", true); // a key given twice
         check("", false); // empty means disarmed, not an error
         check("  ", false);
         assert_eq!(IoFaultConfig::from_env(), Ok(None), "unset means disarmed");
@@ -257,5 +245,6 @@ mod tests {
         assert!(IoFaultConfig::parse("write").is_err());
         assert!(IoFaultConfig::parse("write=x").is_err());
         assert!(IoFaultConfig::parse("scribble=1").is_err());
+        assert!(IoFaultConfig::parse("mmap=1,mmap=2").is_err(), "key twice");
     }
 }
