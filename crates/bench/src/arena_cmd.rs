@@ -131,13 +131,6 @@ impl CellResult {
             _ => None,
         }
     }
-
-    /// Simulated ACTs the cell executed, whichever kind it is.
-    fn acts(self) -> u64 {
-        match self {
-            CellResult::Security { acts, .. } | CellResult::Perf { acts, .. } => acts,
-        }
-    }
 }
 
 /// A supervised cell: its result, or the panic message of its last
@@ -402,19 +395,6 @@ fn run_arena(
     reg.add("arena.cells.replayed", replayed as u64);
     let table = render(&cells, &outcomes, &mut reg);
     (table, reg, replayed)
-}
-
-/// Runs `selection`'s grid live (no checkpoint store) and returns the
-/// total simulated ACTs plus the cell count — the perf benchmark's
-/// arena throughput probe (`arena_acts_per_sec` in `BENCH_perf.json`).
-pub(crate) fn bench_cells(selection: &[&'static EngineSpec], threads: usize) -> (u64, usize) {
-    let cells = grid(selection);
-    let acts = run_grid(&cells, threads, None)
-        .iter()
-        .filter_map(|o| o.result.as_ref().ok())
-        .map(|r| r.acts())
-        .sum();
-    (acts, cells.len())
 }
 
 /// Runs `repro arena` and returns the deterministic table for stdout.

@@ -8,7 +8,8 @@
 //!   repro all --resume          resume a crashed `all` run: replay the
 //!                               checkpointed outputs, execute the rest
 //!   repro `<name>`... [--full]  run selected experiments
-//!   repro bench                 run the simulator-throughput benchmark
+//!   repro bench                 print the in-run speedups and per-phase
+//!                               simulated-time profiles
 //!   repro faults sweep          fault-sensitivity table: SEU-rate
 //!                               ladder x engine x attack (set
 //!                               MOAT_FAULTS=seed=N,... to pin the base
@@ -51,22 +52,20 @@
 //!                               precedence when set, and
 //!                               MOAT_LOG=error|warn|info tunes the
 //!                               stderr degradation log (default warn)
-//!   repro --json [names...]     also write BENCH_perf.json (ACTs/sec,
-//!                               sweep wall time, mono-vs-boxed speedup,
-//!                               per-phase simulated-time profiles)
+//!   repro --json [names...]     also write BENCH_perf.json: three
+//!                               in-run speedups (mono PerfSim vs the
+//!                               seed loop, batched and semi-scripted
+//!                               security paths vs per-step) and the
+//!                               per-phase simulated-time profiles
 //!   repro --json --baseline <file>
-//!                               perf smoke: additionally compare against
-//!                               a committed BENCH_perf.json and exit
-//!                               non-zero if uniform_mono_acts_per_sec,
-//!                               sweep_acts_per_sec,
-//!                               security_batched_acts_per_sec,
-//!                               adaptive_batched_acts_per_sec,
-//!                               full_sweep_acts_per_sec, or
-//!                               fleet_acts_per_sec regressed by
-//!                               more than 20% (the thread-scaled sweep
-//!                               and fleet gates are skipped when this
-//!                               run's thread count differs from the
-//!                               baseline's)
+//!                               perf smoke: additionally compare the
+//!                               three speedups against a committed
+//!                               BENCH_perf.json, print one line per
+//!                               speedup, and exit non-zero if any fell
+//!                               more than 20% below its baseline (or
+//!                               the baseline lacks it). Absolute host
+//!                               time is moatbench's to measure
+//!                               (BENCHMARK.json)
 //!
 //! The performance sweeps fan their (profile × config) cells across all
 //! cores; `--full` selects the paper-size configuration (32 banks,
@@ -82,11 +81,10 @@ use moat_bench::{
 };
 use moat_telemetry::{log, MetricsRegistry, TelemetryLevel};
 
-/// Allowed fractional drop of any gated metric (`uniform_mono_acts_per_sec`,
-/// `sweep_acts_per_sec`, `security_batched_acts_per_sec`,
-/// `adaptive_batched_acts_per_sec`, `full_sweep_acts_per_sec`,
-/// `fleet_acts_per_sec`) before the `--baseline` perf smoke fails the
-/// run.
+/// Allowed fractional drop of each gated in-run speedup
+/// (`uniform_speedup_vs_legacy`, `security_batched_speedup`,
+/// `adaptive_batched_speedup`) below its baseline before the
+/// `--baseline` perf smoke fails the run.
 const MAX_PERF_REGRESSION: f64 = 0.20;
 
 /// Writes `contents` to `path` with the same atomic tmp + `rename(2)`
@@ -266,7 +264,7 @@ fn main() {
     let mut tel_reg = MetricsRegistry::new();
     for name in &selected {
         if name == "bench" {
-            let report = bench_perf(scale);
+            let report = bench_perf();
             println!("{}", report.summary());
             bench_report = Some(report);
             tel_reg.add("repro.experiments.run", 1);
@@ -274,7 +272,8 @@ fn main() {
         }
         if resume {
             if let Some(out) = checkpoint.as_ref().and_then(|cp| cp.lookup(name)) {
-                println!("{out}({name} resumed from checkpoint)");
+                println!("{out}");
+                eprintln!("repro: {name} resumed from checkpoint");
                 tel_reg.add("repro.experiments.resumed", 1);
                 continue;
             }
@@ -303,7 +302,7 @@ fn main() {
     if json || baseline.is_some() {
         // Reuse the benchmark if the selection already ran it.
         let report = bench_report.unwrap_or_else(|| {
-            let report = bench_perf(scale);
+            let report = bench_perf();
             println!("{}", report.summary());
             report
         });

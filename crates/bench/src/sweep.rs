@@ -61,13 +61,6 @@ pub struct SweepOutcome {
     pub wall_seconds: f64,
 }
 
-impl SweepOutcome {
-    /// Simulated activations per host second for this cell.
-    pub fn acts_per_sec(&self) -> f64 {
-        self.report.total_acts as f64 / self.wall_seconds.max(1e-9)
-    }
-}
-
 /// Timing summary of a whole sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepStats {

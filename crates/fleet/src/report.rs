@@ -443,8 +443,8 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// Simulated activations per wall-clock second — the gated
-    /// `fleet_acts_per_sec` metric.
+    /// Simulated activations per wall-clock second, reported on
+    /// `repro fleet`'s stderr.
     pub fn acts_per_sec(&self) -> f64 {
         if self.wall_seconds <= 0.0 {
             return 0.0;

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use moat_dram::Nanos;
 use moat_guard::RecoveryPlan;
+use moat_telemetry::kv::Record;
 
 use crate::faults::FleetFaultPlan;
 use crate::report::{FleetReport, FleetStats};
@@ -236,20 +237,29 @@ impl FleetSupervisor {
     ) -> (FleetReport, FleetStats) {
         let started = Instant::now();
         let config = self.config;
+        // A record carries the attempt that succeeded, so a replayed
+        // shard classifies exactly like the live run that recorded it.
+        // A record without it (written before the count was kept) does
+        // not decode, and the shard runs live again.
         let replay = store.map(|store| Replay {
             store,
             name: |index: &u32| format!("shard-{index:05}"),
             decode: |&index: &u32, record: &str| {
-                ShardReport::parse(record).filter(|r| r.shard_index == index)
+                let attempts = Record::parse(record)?.get("attempts")?;
+                let report = ShardReport::parse(record).filter(|r| r.shard_index == index)?;
+                Some((report, attempts))
             },
-            encode: ShardReport::to_record,
+            encode: |(report, attempts)| format!("{} attempts={attempts}", report.to_record()),
         });
         let runs = run_supervised(
             order.to_vec(),
             threads,
             config.retry,
             replay.as_ref(),
-            |&index, attempt| run_attempt(&config, config.topology.shard(index), attempt),
+            |&index, attempt| {
+                run_attempt(&config, config.topology.shard(index), attempt)
+                    .map(|report| (report, attempt))
+            },
         );
         let mut outcomes: Vec<ShardOutcome> = order
             .iter()
@@ -272,17 +282,16 @@ impl FleetSupervisor {
     }
 }
 
-/// Classifies one supervised shard into its terminal [`ShardState`].
-fn shard_outcome(shard: ShardId, run: CellOutcome<ShardReport, AttemptFailure>) -> ShardOutcome {
+/// Classifies one supervised shard into its terminal [`ShardState`]:
+/// a success by the attempt that produced it (live or recorded), a
+/// failure by the attempts spent.
+fn shard_outcome(
+    shard: ShardId,
+    run: CellOutcome<(ShardReport, u32), AttemptFailure>,
+) -> ShardOutcome {
     let (state, report, error) = match run.result {
-        Ok(report) if run.attempts <= 1 => (ShardState::Completed, Some(report), None),
-        Ok(report) => (
-            ShardState::Recovered {
-                attempts: run.attempts,
-            },
-            Some(report),
-            None,
-        ),
+        Ok((report, attempts)) if attempts <= 1 => (ShardState::Completed, Some(report), None),
+        Ok((report, attempts)) => (ShardState::Recovered { attempts }, Some(report), None),
         Err(failure) => (
             ShardState::Quarantined {
                 reason: failure.reason,

@@ -148,36 +148,60 @@ impl ShardStore for MemStore {
 
 #[test]
 fn interrupted_run_resumes_to_the_same_report() {
-    let faults = FleetFaultPlan::parse("seed=7,crash=0.4,poison=0.3").unwrap();
-    let config = small_config(0xAB1E).with_faults(faults);
-    let sup = FleetSupervisor::new(config);
+    // The second plan is `repro fleet`'s chaos smoke plan. Under both,
+    // a shard the partial resume replays recovered on retry, so its
+    // record must carry the attempt that succeeded.
+    for spec in ["seed=7,crash=0.4,poison=0.3", "seed=97,crash=0.4"] {
+        let faults = FleetFaultPlan::parse(spec).unwrap();
+        let config = small_config(0xAB1E).with_faults(faults);
+        let sup = FleetSupervisor::new(config);
+        let order: Vec<u32> = (0..8).collect();
 
-    let complete_store = MemStore::default();
-    let (uninterrupted, _) = sup.run_with(&(0..8).collect::<Vec<u32>>(), 2, Some(&complete_store));
+        let complete_store = MemStore::default();
+        let (uninterrupted, _) = sup.run_with(&order, 2, Some(&complete_store));
 
-    // Simulate an interruption: only the first half of the recorded
-    // shards survived to the checkpoint.
-    let partial = MemStore::default();
-    for (name, record) in complete_store.0.lock().unwrap().iter() {
-        if name.as_str() < "shard-00004" {
-            partial.record(name, record);
+        // Simulate an interruption: only the even shards' records
+        // survived to the checkpoint.
+        let survived = |index: u32| index.is_multiple_of(2);
+        let partial = MemStore::default();
+        for index in order.iter().copied().filter(|&i| survived(i)) {
+            let name = format!("shard-{index:05}");
+            if let Some(record) = complete_store.lookup(&name) {
+                partial.record(&name, &record);
+            }
         }
-    }
-    let (resumed, _) = sup.run_with(&(0..8).collect::<Vec<u32>>(), 2, Some(&partial));
-    assert_eq!(
-        uninterrupted.render(),
-        resumed.render(),
-        "resume must be invisible in the merged artifact"
-    );
-    for sink in [
-        TelemetrySink::Text,
-        TelemetrySink::Json,
-        TelemetrySink::Chrome,
-    ] {
+        let (resumed, _) = sup.run_with(&order, 2, Some(&partial));
+        // ...and a rerun after the whole run finished replays every
+        // recorded shard.
+        let (replayed, _) = sup.run_with(&order, 2, Some(&complete_store));
         assert_eq!(
-            uninterrupted.render_telemetry(sink),
-            resumed.render_telemetry(sink),
-            "resume must be invisible in the telemetry render ({sink:?})"
+            replayed.replayed,
+            uninterrupted.completed + uninterrupted.recovered
+        );
+        for run in [&resumed, &replayed] {
+            assert_eq!(
+                uninterrupted.render(),
+                run.render(),
+                "resume must be invisible in the merged artifact ({spec})"
+            );
+            for sink in [
+                TelemetrySink::Text,
+                TelemetrySink::Json,
+                TelemetrySink::Chrome,
+            ] {
+                assert_eq!(
+                    uninterrupted.render_telemetry(sink),
+                    run.render_telemetry(sink),
+                    "resume must be invisible in the telemetry render ({spec}, {sink:?})"
+                );
+            }
+        }
+        assert!(
+            uninterrupted
+                .incidents
+                .iter()
+                .any(|i| i.kind == "retry-recovered" && survived(i.shard_index)),
+            "the partial resume must replay a recovered shard ({spec})"
         );
     }
 }
